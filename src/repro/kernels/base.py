@@ -29,8 +29,13 @@ from ..gpu.device import Device
 from ..gpu.specs import GpuSpec, Precision
 from ..pipeline.simulator import PipelineKind, PipelineResult, simulate_pipeline
 from ..pipeline.timing import decompose_work, derive_iteration_timing
+from ..quant.activation import quantize_activation_per_token
 
-__all__ = ["PreparedWeights", "KernelReport", "GemmKernel", "as_device"]
+__all__ = ["PreparedWeights", "KernelReport", "GemmKernel", "as_device", "int8_gemm"]
+
+#: Largest ``|activation code * weight code|`` on the INT8 path: per-token activation
+#: codes lie in [-127, 127] and INT8 weight codes in [-128, 127].
+_MAX_INT8_PRODUCT = 127 * 128
 
 
 def as_device(device_or_spec) -> Device:
@@ -38,6 +43,23 @@ def as_device(device_or_spec) -> Device:
     if isinstance(device_or_spec, Device):
         return device_or_spec
     return Device(device_or_spec)
+
+
+def int8_gemm(x: np.ndarray, w_i8: np.ndarray, scale_ch: np.ndarray) -> np.ndarray:
+    """``Y = X @ W^T`` on INT8 Tensor Cores: the arithmetic every W8A8 / W4A8 kernel shares.
+
+    Quantizes ``x`` per token to INT8, accumulates it against the ``(N, K)`` INT8 weight
+    codes ``w_i8`` and applies the epilogue (per-token x per-channel ``scale_ch``).  The
+    accumulation emulates the INT32 WGMMA accumulator, so ``K * 127 * 128`` must stay
+    below 2**31; every partial sum is then an integer far below 2**53, which makes the
+    float64 BLAS product exact, bit for bit the integer result.
+    """
+    k = w_i8.shape[1]
+    if k * _MAX_INT8_PRODUCT >= 2**31:
+        raise ValueError(f"K={k} can overflow the INT32 accumulator (K * 127 * 128 >= 2**31)")
+    qa = quantize_activation_per_token(x)
+    acc = qa.q_i8.astype(np.float64) @ w_i8.astype(np.float64).T
+    return acc * qa.scale_tok * scale_ch.reshape(1, -1)
 
 
 @dataclass

@@ -18,11 +18,10 @@ from ..dequant.qserve import qserve_alpha
 from ..dequant.w4a16 import w4a16_alpha
 from ..gpu.specs import GpuSpec, Precision
 from ..pipeline.simulator import PipelineKind
-from ..quant.activation import quantize_activation_per_token
 from ..quant.base import QuantGranularity, dequantize, quantize_tensor, group_reshape, group_unreshape
 from ..quant.kvcache import fp8_e4m3_round
 from ..quant.progressive import QServeConfig, qserve_dequantize_int8, qserve_quantize
-from .base import GemmKernel, PreparedWeights
+from .base import GemmKernel, PreparedWeights, int8_gemm
 
 __all__ = [
     "Fp16Kernel",
@@ -110,10 +109,7 @@ class W8A8Kernel(GemmKernel):
         )
 
     def run(self, x: np.ndarray, weights: PreparedWeights) -> np.ndarray:
-        qa = quantize_activation_per_token(x)
-        acc = qa.q_i8.astype(np.int64) @ weights.payload["q_i8"].astype(np.int64).T
-        scale_ch = weights.payload["scale_ch"].reshape(1, -1)
-        return acc.astype(np.float64) * qa.scale_tok * scale_ch
+        return int8_gemm(x, weights.payload["q_i8"], weights.payload["scale_ch"])
 
 
 class Fp8Kernel(GemmKernel):
@@ -260,7 +256,4 @@ class QServeW4A8Kernel(GemmKernel):
 
     def run(self, x: np.ndarray, weights: PreparedWeights) -> np.ndarray:
         qw = weights.payload["qserve"]
-        w_i8 = qserve_dequantize_int8(qw)
-        qa = quantize_activation_per_token(x)
-        acc = qa.q_i8.astype(np.int64) @ w_i8.astype(np.int64).T
-        return acc.astype(np.float64) * qa.scale_tok * qw.scale_ch.reshape(1, -1)
+        return int8_gemm(x, qserve_dequantize_int8(qw), qw.scale_ch)

@@ -35,19 +35,17 @@ from ..layout.dual_mma import (
     DUAL_MMA_TILE_COLS,
     DUAL_MMA_TILE_ROWS,
     PackedWeightMatrix,
-    dual_mma_element_order,
+    dual_mma_index_table,
     pack_weight_matrix,
 )
-from ..layout.fragment import THREADS_PER_WARP, WARPS_PER_WARP_GROUP
 from ..pipeline.simulator import PipelineKind
-from ..quant.activation import quantize_activation_per_token
 from ..quant.liquidquant import (
     LqqConfig,
     LqqQuantizedWeight,
     lqq_dequantize_int8,
     lqq_quantize,
 )
-from .base import GemmKernel, PreparedWeights
+from .base import GemmKernel, PreparedWeights, int8_gemm
 from .library import _DRAM_EFFICIENCY, _HOPPER_TENSOR_EFFICIENCY
 
 __all__ = ["LiquidGemmKernel"]
@@ -107,10 +105,7 @@ class LiquidGemmKernel(GemmKernel):
     # ------------------------------------------------------------------ numeric execution
     def run(self, x: np.ndarray, weights: PreparedWeights) -> np.ndarray:
         qw: LqqQuantizedWeight = weights.payload["lqq"]
-        qa = quantize_activation_per_token(x)
-        w_i8 = lqq_dequantize_int8(qw)
-        acc = qa.q_i8.astype(np.int64) @ w_i8.astype(np.int64).T
-        return acc.astype(np.float64) * qa.scale_tok * qw.scale_ch.reshape(1, -1)
+        return int8_gemm(x, lqq_dequantize_int8(qw), qw.scale_ch)
 
     # ------------------------------------------------------------------ register-path check
     def verify_tile_path(
@@ -129,38 +124,28 @@ class LiquidGemmKernel(GemmKernel):
         qw: LqqQuantizedWeight = weights.payload["lqq"]
         packed: PackedWeightMatrix = weights.payload["packed"]
         tile = packed.tiles[tile_row][tile_col]
-        group = self.config.group_size
-
-        reference_full = lqq_dequantize_int8(qw)
         r0, c0 = tile_row * DUAL_MMA_TILE_ROWS, tile_col * DUAL_MMA_TILE_COLS
         rows = min(DUAL_MMA_TILE_ROWS, qw.n - r0)
         cols = min(DUAL_MMA_TILE_COLS, qw.k - c0)
-        reference = np.zeros((DUAL_MMA_TILE_ROWS, DUAL_MMA_TILE_COLS), dtype=np.int8)
-        reference[:rows, :cols] = reference_full[r0 : r0 + rows, c0 : c0 + cols]
+        reference = lqq_dequantize_int8(qw)[r0 : r0 + rows, c0 : c0 + cols]
 
+        tile_rows, tile_cols = dual_mma_index_table()
+        # Each register's eight elements lie in one weight row, hence share one group's
+        # (scale, offset); out-of-range (padding) registers get scale 1 and offset 128.
+        reg_rows, reg_cols = r0 + tile_rows[..., 0], c0 + tile_cols[..., 0]
+        in_range = (reg_rows < qw.n) & (reg_cols < qw.k)
+        group = (np.minimum(reg_rows, qw.n - 1),
+                 np.minimum(reg_cols, qw.k - 1) // self.config.group_size)
+        scales = np.where(in_range, qw.scale_u8[group], 1)
+        offsets = np.where(in_range, qw.offset_a[group], 128)
+        # One emulated sequence per lane (its LDS.128's four registers), as a thread runs it.
+        byte_regs = np.stack([
+            lqq_dequant_registers(registers, lane_scales, lane_offsets, stats)
+            for registers, lane_scales, lane_offsets in zip(tile.words, scales, offsets)
+        ])
         out = np.zeros((DUAL_MMA_TILE_ROWS, DUAL_MMA_TILE_COLS), dtype=np.int8)
-        for warp in range(WARPS_PER_WARP_GROUP):
-            for thread in range(THREADS_PER_WARP):
-                lane = warp * THREADS_PER_WARP + thread
-                order = dual_mma_element_order(warp, thread)
-                registers = tile.words[lane]
-                # Each register's eight elements lie in one weight row, hence share one group's
-                # (scale, offset); out-of-range (padding) rows reuse group 0 with scale 1.
-                scales = np.ones(registers.shape, dtype=np.int64)
-                offsets = np.full(registers.shape, 128, dtype=np.int64)
-                for reg_idx in range(registers.shape[0]):
-                    row, col = order[reg_idx * 8]
-                    abs_row, abs_col = r0 + row, c0 + col
-                    if abs_row < qw.n and abs_col < qw.k:
-                        g = abs_col // group
-                        scales[reg_idx] = int(qw.scale_u8[abs_row, g])
-                        offsets[reg_idx] = int(qw.offset_a[abs_row, g])
-                byte_regs = lqq_dequant_registers(registers, scales, offsets, stats)
-                values = np.concatenate(
-                    [registers_to_int8(byte_regs[..., 0]), registers_to_int8(byte_regs[..., 1])],
-                    axis=-1,
-                ).reshape(-1)
-                for (row, col), value in zip(order, values):
-                    out[row, col] = value
+        out[tile_rows, tile_cols] = np.concatenate(
+            [registers_to_int8(byte_regs[..., 0]), registers_to_int8(byte_regs[..., 1])], axis=-1
+        )
         # Padding rows/columns are irrelevant; only compare the in-range region.
-        return out[:rows, :cols], reference[:rows, :cols]
+        return out[:rows, :cols], reference

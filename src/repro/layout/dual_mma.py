@@ -19,6 +19,7 @@ load-analysis counterpart to :func:`repro.layout.conventional.analyze_convention
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -41,6 +42,7 @@ __all__ = [
     "ELEMENTS_PER_THREAD_DUAL",
     "PackedDualMmaTile",
     "dual_mma_element_order",
+    "dual_mma_index_table",
     "pack_dual_mma_tile",
     "unpack_dual_mma_tile",
     "thread_registers",
@@ -65,6 +67,21 @@ def dual_mma_element_order(warp: int, thread: int) -> List[Tuple[int, int]]:
     first = thread_fragment_elements(warp, thread)
     second = [(row, col + FRAGMENT_COLS) for row, col in thread_fragment_elements(warp, thread)]
     return first + second
+
+
+@functools.lru_cache(maxsize=1)
+def dual_mma_index_table() -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(rows, cols)`` index arrays of shape ``(128, 4, 8)`` for a dual-MMA tile.
+
+    Entry ``[lane, register, element]`` is the tile position of element ``element`` of packed
+    register ``register`` of lane ``warp * 32 + thread``: the :func:`dual_mma_element_order`
+    of every lane, eight elements per register.  Built on first use.
+    """
+    lanes = [divmod(lane, THREADS_PER_WARP) for lane in range(_TOTAL_THREADS)]
+    order = np.array([dual_mma_element_order(warp, thread) for warp, thread in lanes])
+    order = order.reshape(_TOTAL_THREADS, _REGISTERS_PER_THREAD, 8, 2)
+    order.flags.writeable = False
+    return order[..., 0], order[..., 1]
 
 
 @dataclass
@@ -95,27 +112,14 @@ def pack_dual_mma_tile(tile_u4: np.ndarray) -> PackedDualMmaTile:
     tile_u4 = np.asarray(tile_u4)
     if tile_u4.shape != (DUAL_MMA_TILE_ROWS, DUAL_MMA_TILE_COLS):
         raise ValueError(f"expected a {(DUAL_MMA_TILE_ROWS, DUAL_MMA_TILE_COLS)} tile")
-    words = np.zeros((_TOTAL_THREADS, _REGISTERS_PER_THREAD), dtype=np.uint32)
-    for warp in range(WARPS_PER_WARP_GROUP):
-        for thread in range(THREADS_PER_WARP):
-            lane = warp * THREADS_PER_WARP + thread
-            order = dual_mma_element_order(warp, thread)
-            values = np.array([tile_u4[r, c] for r, c in order], dtype=np.uint8)
-            # Eight elements per register, packed in the interleaved nibble order so the
-            # two-instruction unpack (AND / AND+SHR) of Figure 8 separates them into bytes.
-            words[lane] = pack_u4_interleaved(values.reshape(_REGISTERS_PER_THREAD, 8))
-    return PackedDualMmaTile(words=words)
+    return pack_weight_matrix(tile_u4).tiles[0][0]
 
 
 def unpack_dual_mma_tile(packed: PackedDualMmaTile) -> np.ndarray:
     """Invert :func:`pack_dual_mma_tile`, reconstructing the (64, 64) UINT4 tile."""
+    rows, cols = dual_mma_index_table()
     tile = np.zeros((packed.rows, packed.cols), dtype=np.uint8)
-    for warp in range(WARPS_PER_WARP_GROUP):
-        for thread in range(THREADS_PER_WARP):
-            lane = warp * THREADS_PER_WARP + thread
-            values = unpack_u4_interleaved(packed.words[lane]).reshape(-1)
-            for (r, c), v in zip(dual_mma_element_order(warp, thread), values):
-                tile[r, c] = v
+    tile[rows, cols] = unpack_u4_interleaved(packed.words)
     return tile
 
 
@@ -195,16 +199,13 @@ def pack_weight_matrix(q_u4: np.ndarray) -> PackedWeightMatrix:
     if q_u4.ndim != 2:
         raise ValueError("expected a 2-D code matrix")
     n, k = q_u4.shape
-    rows_pad = (n + DUAL_MMA_TILE_ROWS - 1) // DUAL_MMA_TILE_ROWS * DUAL_MMA_TILE_ROWS
-    cols_pad = (k + DUAL_MMA_TILE_COLS - 1) // DUAL_MMA_TILE_COLS * DUAL_MMA_TILE_COLS
-    padded = np.zeros((rows_pad, cols_pad), dtype=np.uint8)
-    padded[:n, :k] = q_u4
-    tiles: List[List[PackedDualMmaTile]] = []
-    for i in range(0, rows_pad, DUAL_MMA_TILE_ROWS):
-        row_tiles = []
-        for j in range(0, cols_pad, DUAL_MMA_TILE_COLS):
-            row_tiles.append(
-                pack_dual_mma_tile(padded[i : i + DUAL_MMA_TILE_ROWS, j : j + DUAL_MMA_TILE_COLS])
-            )
-        tiles.append(row_tiles)
+    grid_rows, grid_cols = -(-n // DUAL_MMA_TILE_ROWS), -(-k // DUAL_MMA_TILE_COLS)
+    padded = np.pad(q_u4, ((0, -n % DUAL_MMA_TILE_ROWS), (0, -k % DUAL_MMA_TILE_COLS)))
+    grid = padded.reshape(grid_rows, DUAL_MMA_TILE_ROWS, grid_cols, DUAL_MMA_TILE_COLS)
+    rows, cols = dual_mma_index_table()
+    # One gather reorders every tile of the (grid_rows, grid_cols, 64, 64) view; eight
+    # elements per register, packed in the interleaved nibble order so the two-instruction
+    # unpack (AND / AND+SHR) of Figure 8 separates them into bytes.
+    words = pack_u4_interleaved(grid.swapaxes(1, 2)[..., rows, cols])
+    tiles = [[PackedDualMmaTile(words=tile_words) for tile_words in row] for row in words]
     return PackedWeightMatrix(tiles=tiles, n=n, k=k)

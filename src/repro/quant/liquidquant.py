@@ -196,11 +196,6 @@ def lqq_quantize(w: np.ndarray, config: Optional[LqqConfig] = None) -> LqqQuanti
     )
 
 
-def _expand_group(params: np.ndarray, group_size: int) -> np.ndarray:
-    """Expand ``(N, G)`` group parameters to ``(N, K)`` by repetition along K."""
-    return np.repeat(params, group_size, axis=1)
-
-
 def lqq_dequantize_int8_reference(qw: LqqQuantizedWeight) -> np.ndarray:
     """Reference (Equation 8) second-level dequantization: ``Q_u4 * s_u8 + min(Q_i8)``.
 
@@ -208,8 +203,8 @@ def lqq_dequantize_int8_reference(qw: LqqQuantizedWeight) -> np.ndarray:
     hardware-style Equation-12 path and the emulated register path are checked.
     """
     g = qw.config.group_size
-    scale = _expand_group(qw.scale_u8.astype(np.int32), g)
-    minimum = _expand_group(qw.min_i8.astype(np.int32), g)
+    scale = np.repeat(qw.scale_u8.astype(np.int32), g, axis=1)
+    minimum = np.repeat(qw.min_i8.astype(np.int32), g, axis=1)
     q_i8_hat = qw.q_u4.astype(np.int32) * scale + minimum
     if q_i8_hat.min() < -128 or q_i8_hat.max() > 127:
         raise AssertionError("reference dequantization escaped INT8 — protective range violated")
@@ -223,17 +218,16 @@ def lqq_dequantize_int8(qw: LqqQuantizedWeight, check_overflow: bool = True) -> 
     reinterprets the result as INT8.  With ``check_overflow`` the Section-4 invariants are
     asserted at runtime (they can be disabled for speed once trusted).
     """
-    g = qw.config.group_size
-    scale = _expand_group(qw.scale_u8.astype(np.uint32), g)
-    offset = _expand_group(qw.offset_a.astype(np.uint32), g)
-    product = qw.q_u4.astype(np.uint32) * scale
+    # Each group's (s_u8, a) broadcasts over its codes in an (N, G, group) view; UINT16
+    # holds every intermediate (at most 15 * 16 + 255), so a violated bound shows, not wraps.
+    codes = group_reshape(qw.q_u4, qw.config.group_size).astype(np.uint16)
+    product = codes * qw.scale_u8.astype(np.uint16)[:, :, None]
     if check_overflow and product.size and product.max() > 240:
         raise AssertionError("Q_u4 * s_u8 exceeded 240 — Section 4 bound violated")
-    shifted = product + offset
+    shifted = product + qw.offset_a.astype(np.uint16)[:, :, None]
     if check_overflow and shifted.size and shifted.max() > 255:
         raise AssertionError("Q_u4 * s_u8 + a exceeded UINT8 — Equation 11 bound violated")
-    flipped = (shifted.astype(np.uint8) ^ np.uint8(0x80))
-    return flipped.view(np.int8) if flipped.dtype == np.uint8 else flipped.astype(np.uint8).view(np.int8)
+    return group_unreshape(shifted.astype(np.uint8) ^ np.uint8(0x80)).view(np.int8)
 
 
 def lqq_dequantize_fp(qw: LqqQuantizedWeight) -> np.ndarray:

@@ -11,6 +11,11 @@ from repro.kernels import (
     default_comparison_set,
     get_kernel,
 )
+from repro.quant import (
+    lqq_dequantize_int8_reference,
+    qserve_dequantize_int8,
+    quantize_activation_per_token,
+)
 
 #: Relative Frobenius-error budgets per kernel, reflecting their quantization precision.
 ERROR_BUDGETS = {
@@ -21,6 +26,28 @@ ERROR_BUDGETS = {
     "qserve-w4a8": 0.15,
     "liquidgemm": 0.15,
 }
+
+
+#: Each INT8 Tensor-Core kernel's ``(INT8 weight codes, per-channel scales)``, taken from its
+#: prepared payload through the integer reference dequantization where there is one.
+INT8_OPERANDS = {
+    "w8a8": lambda p: (p.payload["q_i8"], p.payload["scale_ch"]),
+    "qserve-w4a8": lambda p: (qserve_dequantize_int8(p.payload["qserve"]),
+                              p.payload["qserve"].scale_ch),
+    "liquidgemm": lambda p: (lqq_dequantize_int8_reference(p.payload["lqq"]),
+                             p.payload["lqq"].scale_ch),
+}
+
+
+def int64_gemm(x, w_i8, scale_ch):
+    """The INT8 GEMM in integer arithmetic: per-token codes, int64 accumulation, epilogue."""
+    qa = quantize_activation_per_token(x)
+    acc = qa.q_i8.astype(np.int64) @ w_i8.astype(np.int64).T
+    return acc.astype(np.float64) * qa.scale_tok * scale_ch.reshape(1, -1)
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -97,10 +124,10 @@ class TestLiquidGemmSpecifics:
         prepared = kernel.prepare_weights(w)
         stats = InstructionStats()
         kernel.verify_tile_path(prepared, 0, 0, stats=stats)
-        # 128 lanes x 4 registers x 7 instructions, grouped by shared (scale, offset): at most
-        # that many, at least one sequence per register row group.
-        assert 0 < stats.total_instructions <= 128 * 4 * 7
-        assert stats.count("imad.u32") > 0 and stats.count("xor.b32") > 0
+        # One 7-instruction sequence per distinct (scale, offset) of a lane's 4 registers:
+        # its two rows each hold one 64-column group here, so 128 lanes x 2 x 7.
+        assert stats.total_instructions == 1792
+        assert stats.count("imad.u32") == stats.count("xor.b32") == 128 * 2 * 2
 
     def test_more_accurate_than_or_equal_to_qserve(self, problem):
         x, w, reference = problem
@@ -118,3 +145,39 @@ class TestLiquidGemmSpecifics:
         y = kernel.run(x, kernel.prepare_weights(w))
         rel = np.linalg.norm(y - x @ w.T) / np.linalg.norm(x @ w.T)
         assert rel < 0.2
+
+
+class TestInt8Accumulation:
+    @pytest.mark.parametrize("name", sorted(INT8_OPERANDS))
+    def test_bit_identical_to_int64_formula(self, problem, name):
+        x, w, _ = problem
+        kernel = get_kernel(name)
+        prepared = kernel.prepare_weights(w)
+        assert_same_bits(kernel.run(x, prepared),
+                         int64_gemm(x, *INT8_OPERANDS[name](prepared)))
+
+    def test_float64_accumulation_exact_beyond_float32(self):
+        """One-signed codes at K = 4096 drive |acc| to ~5.4e7, past 2**24: float32 loses
+        integers there, the float64 accumulation must not."""
+        rng = np.random.default_rng(11)
+        k = 4096
+        w = 1.0 + 0.1 * rng.random((64, k))
+        x = 1.0 + 0.2 * rng.random((8, k))
+        kernel = LiquidGemmKernel()
+        prepared = kernel.prepare_weights(w)
+        w_i8, scale_ch = INT8_OPERANDS["liquidgemm"](prepared)
+        codes = quantize_activation_per_token(x).q_i8
+        acc = codes.astype(np.int64) @ w_i8.astype(np.int64).T
+        assert acc.min() > 2**24
+        acc_f32 = codes.astype(np.float32) @ w_i8.astype(np.float32).T
+        assert not np.array_equal(acc_f32.astype(np.int64), acc)
+        assert_same_bits(kernel.run(x, prepared), int64_gemm(x, w_i8, scale_ch))
+
+    def test_k_beyond_int32_accumulator_rejected(self):
+        k = 132_160  # the smallest multiple of 64 with K * 127 * 128 >= 2**31
+        assert (k - 64) * 127 * 128 < 2**31 <= k * 127 * 128
+        kernel = LiquidGemmKernel()
+        fits = kernel.prepare_weights(np.ones((1, k - 64)))
+        assert kernel.run(np.ones((1, k - 64)), fits).shape == (1, 1)
+        with pytest.raises(ValueError, match="INT32"):
+            kernel.run(np.ones((1, k)), kernel.prepare_weights(np.ones((1, k))))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.layout import (
@@ -17,6 +17,7 @@ from repro.layout import (
     fragment_ownership_map,
     ldmatrix_misrouting,
     pack_dual_mma_tile,
+    pack_u4_interleaved,
     pack_weight_matrix,
     thread_fragment_elements,
     thread_registers,
@@ -126,7 +127,39 @@ class TestDualMmaLayout:
             pack_dual_mma_tile(rng.integers(0, 16, (64, 32)).astype(np.uint8))
 
 
+def per_lane_tile_words(q: np.ndarray, tile_row: int, tile_col: int) -> np.ndarray:
+    """Reference words of one tile, packed lane by lane straight from
+    ``dual_mma_element_order`` (zero past the edges of ``q``)."""
+    r0, c0 = tile_row * DUAL_MMA_TILE_ROWS, tile_col * DUAL_MMA_TILE_COLS
+    words = np.zeros((128, 4), dtype=np.uint32)
+    for warp in range(4):
+        for thread in range(32):
+            values = [
+                q[r0 + r, c0 + c] if r0 + r < q.shape[0] and c0 + c < q.shape[1] else 0
+                for r, c in dual_mma_element_order(warp, thread)
+            ]
+            words[warp * 32 + thread] = pack_u4_interleaved(
+                np.array(values, dtype=np.uint8).reshape(4, 8)
+            )
+    return words
+
+
 class TestPackedWeightMatrix:
+    @given(st.integers(1, 200), st.integers(1, 200), st.integers(0, 2**32 - 1))
+    @example(200, 200, 0)
+    @example(64, 64, 1)
+    @settings(max_examples=20, deadline=None)
+    def test_words_match_per_lane_reference(self, n, k, seed):
+        """Every packed word equals the per-lane reference.  The round-trip tests alone
+        would pass if packing and unpacking were permuted the same wrong way."""
+        q = np.random.default_rng(seed).integers(0, 16, (n, k)).astype(np.uint8)
+        packed = pack_weight_matrix(q)
+        assert packed.tile_grid == (-(-n // DUAL_MMA_TILE_ROWS), -(-k // DUAL_MMA_TILE_COLS))
+        for i, row in enumerate(packed.tiles):
+            for j, tile in enumerate(row):
+                assert tile.words.shape == (128, 4) and tile.words.dtype == np.uint32
+                assert np.array_equal(tile.words, per_lane_tile_words(q, i, j))
+
     def test_tiling_with_padding(self, rng):
         q = rng.integers(0, 16, (100, 130)).astype(np.uint8)
         packed = pack_weight_matrix(q)

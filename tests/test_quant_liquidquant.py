@@ -139,6 +139,16 @@ class TestLqqDequantize:
         b = lqq_dequantize_int8(qw, check_overflow=True)
         assert np.array_equal(a, b)
 
+    def test_runtime_checks_catch_parameters_tampered_after_validation(self, small_weight):
+        qw = lqq_quantize(small_weight)
+        qw.scale_u8[...] = 100
+        with pytest.raises(AssertionError, match="exceeded 240"):
+            lqq_dequantize_int8(qw)
+        qw = lqq_quantize(small_weight)
+        qw.offset_a[...] = 255
+        with pytest.raises(AssertionError, match="exceeded UINT8"):
+            lqq_dequantize_int8(qw)
+
     def test_tampered_scale_raises(self, small_weight):
         """If the Section-4 invariants are violated the checked path must catch it."""
         qw = lqq_quantize(small_weight)
