@@ -17,10 +17,11 @@ Two families of entry points are exposed:
 
 * the **uniform-batch** analytical API (``decode_step_time``, ``prefill_time``,
   ``throughput``, ``peak_throughput``) that reproduces the paper's fixed-batch numbers, and
-* the **ragged-batch** step-cost API (``ragged_decode_step_time``, ``chunked_prefill_time``,
-  ``mixed_step_time``) consumed by the request-level scheduler simulation: per-sequence
-  context lengths instead of one scalar, and mixed iterations that interleave decode tokens
-  with chunked prefill tokens in a single forward pass.
+* the **ragged-batch** step cost consumed by the request-level scheduler simulation:
+  ``iteration_time`` prices one mixed iteration — decode tokens over per-sequence contexts
+  plus chunked prefill tokens in a single forward pass — or, elementwise, a whole run of
+  them; ``mixed_step_time`` is its wrapper over per-sequence contexts and
+  :class:`PrefillChunk` objects.
 
 Tensor parallelism (``tp_degree``) is threaded through everything: GEMM shapes, attention,
 weight memory and the KV budget are one GPU's Megatron-style shard, and every layer pays two
@@ -229,13 +230,12 @@ class ServingEngine:
         self._lm_head_cache: Dict[int, float] = _BoundedMemo(memo_cache_entries)
         self._others_time_cache: Dict[int, float] = _BoundedMemo(memo_cache_entries)
         self._comm_time_cache: Dict[int, float] = _BoundedMemo(memo_cache_entries)
-        # Decode-iteration closed form: one layer's decode cost is a function of
-        # (batch_size, sum(contexts)) alone, so the whole iteration memoizes on that pair
-        # and vectorizes over arrays of context totals (the fast-forward path).
-        self._decode_step_cache: Dict[Tuple[int, int], float] = _BoundedMemo(memo_cache_entries)
-        self._decode_coeff_cache: Dict[int, Tuple[float, float, float, float, float]] = (
-            _BoundedMemo(memo_cache_entries)
-        )
+        # Context-independent terms of one iteration (decode KV write, layer GEMMs,
+        # element-wise kernels, all-reduces, LM head), keyed by the iteration's
+        # (decode batch, total tokens, logits tokens): the few shapes a run repeats.
+        self._step_coeff_cache: Dict[
+            Tuple[int, int, int], Tuple[float, float, float, float, float]
+        ] = _BoundedMemo(memo_cache_entries)
         # Chunked-prefill attention repeats heavily at the scheduler's fixed chunk
         # granularity (e.g. (256, 0), (256, 256), ...), so it memoizes on the chunk shape.
         self._chunk_attention_cache: Dict[Tuple[int, int], float] = _BoundedMemo(memo_cache_entries)
@@ -244,8 +244,7 @@ class ServingEngine:
             "lm_head": self._lm_head_cache,
             "layer_others": self._others_time_cache,
             "allreduce": self._comm_time_cache,
-            "decode_step": self._decode_step_cache,
-            "decode_coeffs": self._decode_coeff_cache,
+            "step_coeffs": self._step_coeff_cache,
             "chunk_attention": self._chunk_attention_cache,
         }
         spec = self.device.spec
@@ -461,84 +460,6 @@ class ServingEngine:
         per_layer = self.layer_breakdown(batch_size, context_length).total
         return per_layer * self.model.num_layers + self.lm_head_time(batch_size)
 
-    def ragged_decode_step_time(
-        self, context_lengths: Union[Sequence[int], np.ndarray]
-    ) -> float:
-        """Latency of one decode iteration over a ragged batch.
-
-        Each sequence is charged attention over *its own* cached context instead of the batch
-        maximum — the uniform :meth:`decode_step_time` is the equal-lengths special case.
-        ``context_lengths`` may be a list or a NumPy integer array; either way the cost is a
-        closed form of ``(batch_size, sum(contexts))`` evaluated as one exact integer
-        reduction (see :meth:`decode_iteration_time`), not a per-sequence Python loop.
-        """
-        return self.mixed_step_time(context_lengths, [])
-
-    # ---- decode-iteration closed form (the fast-forward substrate) -----------------
-    def _decode_coeffs(self, batch_size: int) -> Tuple[float, float, float, float, float]:
-        """Context-independent scalars of one decode iteration at ``batch_size``."""
-        cached = self._decode_coeff_cache.get(batch_size)
-        if cached is None:
-            kv_write = (
-                2.0 * batch_size * self._attn_kv_dim * self._attn_kv_bytes
-            ) / self._attn_effective_bw
-            cached = (
-                kv_write,
-                self.layer_gemm_time(batch_size),
-                self.layer_others_time(batch_size),
-                2.0 * self.allreduce_time(batch_size),
-                self.lm_head_time(batch_size),
-            )
-            self._decode_coeff_cache[batch_size] = cached
-        return cached
-
-    def _decode_step_core(self, batch_size: int, totals):
-        """One decode iteration's latency as a function of the summed context length.
-
-        ``totals`` is a float or a float64 ndarray; every operation below mirrors the
-        operand order of :func:`decode_attention_cost_from_totals` composed exactly as
-        :meth:`mixed_step_time` composes it, so scalar and vectorized evaluation are
-        bit-identical to the stepwise path (IEEE-754 ops are elementwise identical).
-        """
-        kv_write, gemm, others, comm, lm_head = self._decode_coeffs(batch_size)
-        kv_elements = 2.0 * totals * self._attn_kv_dim
-        kv_read = kv_elements * self._attn_kv_bytes / self._attn_effective_bw
-        flops = 8.0 * totals * self._attn_heads * self.model.head_dim
-        compute = flops / self._attn_tc_denom
-        attention = kv_read + kv_write + compute + _ATTENTION_LAUNCH_OVERHEAD_S
-        per_layer = gemm + attention + others + comm
-        return per_layer * self.model.num_layers + lm_head
-
-    def decode_iteration_time(self, batch_size: int, total_context: int) -> float:
-        """Latency of one pure-decode iteration given the *summed* context length.
-
-        The memoized scalar form of the ragged decode model: all per-sequence terms are
-        linear, so ``(batch_size, total_context)`` determines the iteration cost exactly.
-        """
-        key = (batch_size, total_context)
-        cached = self._decode_step_cache.get(key)
-        if cached is None:
-            cached = float(self._decode_step_core(batch_size, float(total_context)))
-            self._decode_step_cache[key] = cached
-        return cached
-
-    def decode_iteration_times(
-        self, batch_size: int, total_contexts: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized :meth:`decode_iteration_time` over an array of context totals.
-
-        This is what analytic fast-forward uses to price a whole run of decode-only
-        iterations in one NumPy evaluation; each element is bit-identical to the scalar
-        call at that total.
-        """
-        return self._decode_step_core(
-            batch_size, np.asarray(total_contexts, dtype=np.float64)
-        )
-
-    def chunked_prefill_time(self, chunk_tokens: int, context_start: int = 0) -> float:
-        """Latency of prefilling one chunk of a single prompt (no decode tokens alongside)."""
-        return self.mixed_step_time([], [PrefillChunk(chunk_tokens, context_start)])
-
     def mixed_step_time(
         self,
         decode_context_lengths: Sequence[int],
@@ -550,57 +471,77 @@ class ServingEngine:
         layer GEMMs and element-wise kernels see the combined token count, while attention is
         charged per sequence (decode) and per chunk (prefill).  The LM head runs only for the
         positions that emit a token: every decode sequence plus prompt-completing chunks.
+        Each decode sequence is charged attention over *its own* cached context, so the
+        uniform :meth:`decode_step_time` is the equal-lengths special case.
         """
         decode_batch = len(decode_context_lengths)
         if decode_batch and min(decode_context_lengths) <= 0:
             raise ValueError("context lengths must be positive")
-        if not prefill_chunks:
-            # Pure decode: the cost is a closed form of (batch, sum of contexts) — the
-            # memoized path the scheduler and analytic fast-forward share bit for bit.
-            if decode_batch == 0:
-                raise ValueError("an iteration must process at least one token")
-            return self.decode_iteration_time(
-                decode_batch, int(sum(decode_context_lengths))
-            )
-        logits_tokens = decode_batch + sum(1 for c in prefill_chunks if c.produces_token)
-        return self.mixed_iteration_time(
+        return self.iteration_time(
             decode_batch,
             int(sum(decode_context_lengths)),
             [(c.tokens, c.context_start) for c in prefill_chunks],
-            logits_tokens,
+            decode_batch + sum(1 for c in prefill_chunks if c.produces_token),
         )
 
-    def mixed_iteration_time(
+    def iteration_time(
         self,
         decode_batch: int,
-        total_context: int,
-        chunk_shapes: Sequence[Tuple[int, int]],
+        decode_total: Union[int, np.ndarray],
+        chunks: Sequence[Tuple[int, Union[int, np.ndarray]]],
         logits_tokens: int,
-    ) -> float:
-        """Scalar mixed-iteration latency from the *summed* decode context length.
+    ) -> Union[float, np.ndarray]:
+        """Latency of one scheduler iteration, or of a run of pinned iterations.
 
-        The memo-backed core :meth:`mixed_step_time` delegates to, exposed directly so
-        analytic fast-forward can price short pinned epochs without materializing
-        per-sequence context lists or :class:`PrefillChunk` objects: ``chunk_shapes`` is
-        one ``(chunk_tokens, context_start)`` pair per prefill chunk (the chunk-attention
-        memo key), ``logits_tokens`` the token-emitting positions.
+        ``decode_batch`` sequences decode one token each over ``decode_total`` summed
+        cached context (every per-sequence attention term is linear, so the sum
+        determines the cost exactly); ``chunks`` holds one ``(chunk_tokens,
+        context_start)`` pair per prefill chunk, in planning order; ``logits_tokens``
+        positions run the LM head.  The layer GEMMs and element-wise kernels see the
+        combined token count.
+
+        Scalar/array polymorphic: integer totals and context starts price one iteration
+        and return a float; int64 arrays of decode totals and/or of a chunk's context
+        starts price a run of iterations and return an array.  Every operation below is
+        IEEE-754 elementwise and mirrors the operand order of
+        :func:`~repro.serving.attention.decode_attention_cost_from_totals` and
+        :func:`~repro.serving.attention.chunked_prefill_attention_cost`, so each element
+        equals the scalar call bit for bit — the contract analytic fast-forward rests on.
         """
-        if not chunk_shapes:
-            if decode_batch == 0:
-                raise ValueError("an iteration must process at least one token")
-            return self.decode_iteration_time(decode_batch, total_context)
+        total_tokens = decode_batch
+        for tokens, _ in chunks:
+            total_tokens += tokens
+        if total_tokens <= 0:
+            raise ValueError("an iteration must process at least one token")
+        key = (decode_batch, total_tokens, logits_tokens)
+        coeffs = self._step_coeff_cache.get(key)
+        if coeffs is None:
+            coeffs = (
+                (2.0 * decode_batch * self._attn_kv_dim * self._attn_kv_bytes)
+                / self._attn_effective_bw,
+                self.layer_gemm_time(total_tokens),
+                self.layer_others_time(total_tokens),
+                2.0 * self.allreduce_time(total_tokens),
+                self.lm_head_time(logits_tokens),
+            )
+            self._step_coeff_cache[key] = coeffs
+        kv_write, gemm, others, comm, lm_head = coeffs
 
         attention = 0.0
         if decode_batch:
-            attention += self._mixed_decode_attention_times(
-                decode_batch, float(total_context)
+            kv_read = (
+                2.0 * decode_total * self._attn_kv_dim * self._attn_kv_bytes
+                / self._attn_effective_bw
             )
+            compute = (
+                8.0 * decode_total * self._attn_heads * self.model.head_dim
+                / self._attn_tc_denom
+            )
+            attention = kv_read + kv_write + compute + _ATTENTION_LAUNCH_OVERHEAD_S
         cache = self._chunk_attention_cache
-        prefill_tokens = 0
-        for chunk_key in chunk_shapes:
-            chunk_attention = cache.get(chunk_key)
-            if chunk_attention is None:
-                chunk_attention = chunked_prefill_attention_cost(
+        for chunk_key in chunks:
+            if isinstance(chunk_key[1], np.ndarray):
+                chunk_attention = chunked_prefill_attention_times(
                     self.model,
                     self.device.spec,
                     chunk_key[0],
@@ -608,125 +549,32 @@ class ServingEngine:
                     self.backend.kv_bytes_per_element,
                     attention_efficiency=self.backend.attention_efficiency,
                     tp_degree=self.tp_degree,
-                ).total
-                cache[chunk_key] = chunk_attention
-            attention += chunk_attention
-            prefill_tokens += chunk_key[0]
+                )
+            else:
+                chunk_attention = cache.get(chunk_key)
+                if chunk_attention is None:
+                    chunk_attention = chunked_prefill_attention_cost(
+                        self.model,
+                        self.device.spec,
+                        chunk_key[0],
+                        chunk_key[1],
+                        self.backend.kv_bytes_per_element,
+                        attention_efficiency=self.backend.attention_efficiency,
+                        tp_degree=self.tp_degree,
+                    ).total
+                    cache[chunk_key] = chunk_attention
+            attention = attention + chunk_attention
 
-        total_tokens = decode_batch + prefill_tokens
-        per_layer = (
-            self.layer_gemm_time(total_tokens)
-            + attention
-            + self.layer_others_time(total_tokens)
-            + 2.0 * self.allreduce_time(total_tokens)
-        )
-        return per_layer * self.model.num_layers + self.lm_head_time(logits_tokens)
+        per_layer = gemm + attention + others + comm
+        return per_layer * self.model.num_layers + lm_head
 
-    def _mixed_decode_attention_times(self, batch_size: int, totals):
-        """``decode_attention_cost_from_totals(...).total`` over summed context lengths.
-
-        The decode share of a mixed iteration with the hoisted scalars of
-        :meth:`_decode_step_core`.  ``totals`` is a float (one iteration) or a float64
-        array (a pinned epoch): every operation below is scalar/array polymorphic and
-        mirrors the attention module's operand order, so both shapes are bit-identical
-        to the per-iteration call :meth:`mixed_step_time` makes — one body, because that
-        operand order is load-bearing for fast-vs-stepwise equivalence.
-        """
-        kv_elements = 2.0 * totals * self._attn_kv_dim
-        kv_read = kv_elements * self._attn_kv_bytes / self._attn_effective_bw
-        kv_write = (
-            2.0 * batch_size * self._attn_kv_dim * self._attn_kv_bytes
-        ) / self._attn_effective_bw
-        flops = 8.0 * totals * self._attn_heads * self.model.head_dim
-        compute = flops / self._attn_tc_denom
-        return kv_read + kv_write + compute + _ATTENTION_LAUNCH_OVERHEAD_S
-
-    def mixed_step_times(
-        self,
-        decode_batch: int,
-        decode_total_contexts: Optional[np.ndarray],
-        chunk_runs: Sequence[Tuple[int, np.ndarray]],
-        logits_tokens: Optional[int] = None,
-    ) -> np.ndarray:
-        """Vectorized :meth:`mixed_step_time` over a run of pinned-composition iterations.
-
-        The batch API analytic fast-forward uses to price a whole mixed prefill+decode
-        *epoch* — consecutive iterations whose batch composition is frozen (same decode
-        batch size, same prefill chunk sizes, no admissions, completions or first-token
-        emissions) while the decode contexts grow by one token and each chunk's cached
-        prefix grows by its chunk size per iteration:
-
-        * ``decode_total_contexts`` — per-iteration *summed* decode context lengths
-          (ignored when ``decode_batch`` is 0);
-        * ``chunk_runs`` — one ``(chunk_tokens, context_starts)`` pair per resident
-          prefill, in the scheduler's chunk-planning order, where ``context_starts`` holds
-          that chunk's cached-prefix length at each iteration;
-        * ``logits_tokens`` — positions emitting a token per iteration (defaults to
-          ``decode_batch``: inside an epoch no prefill chunk completes a prompt).
-
-        Element ``i`` is bit-identical to the scalar :meth:`mixed_step_time` of iteration
-        ``i`` — same closed forms, same accumulation order, evaluated elementwise — which
-        is the contract the fast-forward equivalence suite pins.
-        """
-        if not chunk_runs:
-            if decode_batch <= 0:
-                raise ValueError("an iteration must process at least one token")
-            return self.decode_iteration_times(decode_batch, decode_total_contexts)
-        prefill_tokens = sum(tokens for tokens, _ in chunk_runs)
-        total_tokens = decode_batch + prefill_tokens
-
-        attention: Optional[np.ndarray] = None
-        if decode_batch:
-            totals = np.asarray(decode_total_contexts, dtype=np.float64)
-            attention = self._mixed_decode_attention_times(decode_batch, totals)
-        spec = self.device.spec
-        kv_bytes = self.backend.kv_bytes_per_element
-        for tokens, starts in chunk_runs:
-            chunk_attention = chunked_prefill_attention_times(
-                self.model,
-                spec,
-                tokens,
-                starts,
-                kv_bytes,
-                attention_efficiency=self.backend.attention_efficiency,
-                tp_degree=self.tp_degree,
-            )
-            attention = (
-                chunk_attention if attention is None else attention + chunk_attention
-            )
-
-        per_layer = (
-            self.layer_gemm_time(total_tokens)
-            + attention
-            + self.layer_others_time(total_tokens)
-            + 2.0 * self.allreduce_time(total_tokens)
-        )
-        if logits_tokens is None:
-            logits_tokens = decode_batch
-        return per_layer * self.model.num_layers + self.lm_head_time(logits_tokens)
-
-    def prefill_time(self, batch_size: int, prompt_length: int,
-                     cached_prefix_tokens: int = 0) -> float:
+    def prefill_time(self, batch_size: int, prompt_length: int) -> float:
         """Approximate prompt-processing time for a batch of requests.
 
         Prefill GEMMs are compute-bound; we charge one GPU's share of the model's full
         forward FLOPs at a sustained fraction of the Tensor-Core peak, plus the quadratic
         attention term and the per-layer tensor-parallel all-reduces.
-
-        ``cached_prefix_tokens`` models a prefix-cache hit (fork-on-admit): the first
-        ``cached_prefix_tokens`` positions' KV is already resident, so only the suffix is
-        processed.  Under causal attention the suffix's cost is exactly the full prefill
-        minus a prefill of the cached head alone — positions ``C..L`` run their GEMMs,
-        communication and attention over everything before them.
         """
-        if cached_prefix_tokens:
-            if not 0 <= cached_prefix_tokens < prompt_length:
-                raise ValueError(
-                    "cached_prefix_tokens must be in [0, prompt_length)"
-                )
-            return self.prefill_time(batch_size, prompt_length) - self.prefill_time(
-                batch_size, cached_prefix_tokens
-            )
         flops = 2.0 * batch_size * prompt_length * self.model.active_params_per_token() / self.tp_degree
         mma_precision = self.backend.mma_precision
         peak = self.device.spec.tensor_core_throughput(mma_precision)
@@ -734,7 +582,7 @@ class ServingEngine:
         attention = (
             prefill_attention_cost(
                 self.model, self.device.spec, batch_size, prompt_length,
-                attention_efficiency=self.system.attention_efficiency,
+                attention_efficiency=self.backend.attention_efficiency,
                 tp_degree=self.tp_degree,
             ).total
             * self.model.num_layers

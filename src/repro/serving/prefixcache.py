@@ -22,8 +22,10 @@ simulator's version of that index:
   completion until evicted.
 * **LRU leaf eviction** — under KV pressure the scheduler reclaims cached-but-idle blocks
   before preempting live sequences: :meth:`PrefixCache.evict` repeatedly removes the
-  least-recently-used *leaf* whose block no live sequence shares.  :meth:`PrefixCache.can_free`
-  is the side-effect-free twin the fast-forward parked-queue proofs use.
+  least-recently-used *leaf* whose block no live sequence shares.
+  :meth:`PrefixCache.can_free` is its exact side-effect-free precondition: ``evict``
+  frees a block exactly when some cached block is idle, and otherwise leaves the trie
+  untouched — the fact the fast-forward parked-queue proofs use.
 
 Everything here mutates only inside the scheduler's ``step()`` (insert at prefill
 completion, hit/fork at admission, evict under pressure), which is what keeps analytic
@@ -301,11 +303,7 @@ class PrefixCache:
         kv = self.kv_cache
         freed = 0
         evicted = 0
-        while freed < num_blocks and self._nodes:
-            if not any(
-                kv.block_ref_count(node.block) == 1 for node in self._nodes.values()
-            ):
-                break  # every cached block is shared with a live holder: nothing frees
+        while freed < num_blocks and self.can_free():
             best_idle: Optional[_PrefixNode] = None
             best: Optional[_PrefixNode] = None
             for node in self._nodes.values():
@@ -332,27 +330,20 @@ class PrefixCache:
                 )
         return freed
 
-    def can_free(self, num_blocks: int) -> bool:
-        """Would :meth:`evict` free at least ``num_blocks`` device blocks right now?
+    def can_free(self) -> bool:
+        """Would :meth:`evict` free at least one device block right now?
 
-        Side-effect free: used by the fast-forward parked-queue proofs, which need
-        "admission is blocked *and* eviction could not unblock it" to stay true for a
-        whole pinned segment.  Every idle cached block (reference count 1) is reachable:
-        :meth:`evict` prunes pinned leaves for free to expose buried idle interiors, so
-        the freeable total is simply the idle-block count.  Not memoized: unlike a
-        match, the answer also depends on *live* sequences' reference counts, which
-        change without a structural version bump.
+        True exactly when some cached block is idle (pool reference count 1, the cache's
+        own): :meth:`evict` prunes pinned leaves for free to expose buried idle
+        interiors, so every idle block is reachable, and an idle block stays idle while
+        other nodes are dropped (a second holder would make its count 2).  When this is
+        False, ``evict`` frees nothing and leaves the trie untouched.  Side-effect free
+        — the fast-forward parked-queue proofs use it — and not memoized: the answer
+        depends on *live* sequences' reference counts, which change without a
+        structural version bump.
         """
-        if num_blocks <= 0:
-            return True
-        kv = self.kv_cache
-        freeable = 0
-        for node in self._nodes.values():
-            if kv.block_ref_count(node.block) == 1:
-                freeable += 1
-                if freeable >= num_blocks:
-                    return True
-        return False
+        ref_counts = self.kv_cache.block_ref_count
+        return any(ref_counts(node.block) == 1 for node in self._nodes.values())
 
     def reset(self) -> None:
         """Drop every cached block (release its pool reference) and zero the counters."""

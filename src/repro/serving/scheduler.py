@@ -284,8 +284,8 @@ class ContinuousBatchingScheduler:
         #: cached prefix of each request's ``prefix_segments`` and seeds the sequence
         #: with the matching blocks, prefilling only the uncached suffix.
         self.prefix_caching = prefix_caching
-        #: Analytic decode fast-forward: :meth:`run` (and the cluster driver) may advance a
-        #: steady decode-only phase in one closed-form jump instead of looping
+        #: Analytic fast-forward: :meth:`run` (and the cluster driver) may advance runs of
+        #: frozen-composition iterations in closed-form jumps instead of looping
         #: :meth:`step`.  Bit-identical either way — the flag exists for equivalence tests
         #: and for callers that want to drive every iteration explicitly.
         self.fast_forward_enabled = fast_forward
@@ -1004,96 +1004,40 @@ class ContinuousBatchingScheduler:
         self._next_sample_s = self._clock + tracer.sample_interval_s
 
     # ------------------------------------------------------------------ fast-forward
-    @property
-    def in_steady_decode(self) -> bool:
-        """True when the next iterations are pure ragged decode over a fixed batch.
+    def _queues_parked(self, budget_left: int) -> bool:
+        """True when no queued request can enter the batch now — nor at any later
+        iteration of a fast-forward epoch.
 
-        That is the state analytic fast-forward can advance in closed form: no pending
-        admission, prefill, import, or swap work, no parked overlap transfer, and the KV
-        pool holding exactly the running sequences (a replaced pool with foreign residents
-        falls back to stepwise execution).  Fast-forward itself accepts a broader state —
-        waiting / imported / swapped requests are fine as long as they are *provably
-        parked* for the whole jump (see :meth:`_admission_parked` and friends) — this
-        strict property is the classic steady-state probe tests and callers rely on.
+        A queued request only becomes schedulable through more free KV blocks, a smaller
+        resident set, or leftover token budget.  Inside an epoch the resident set and
+        the iteration budget (``budget_left``: what admission would see after the
+        epoch's chunks) are frozen and free blocks only shrink — completions free
+        theirs only after the epoch's last iteration — so "blocked now" implies
+        "blocked for the whole epoch".  Per queue, mirroring :meth:`step`:
+
+        * an imported sequence lands once its KV blocks fit;
+        * a swapped-out sequence is compared against the swap-in headroom *floor* —
+          one slot block per running sequence.  The scan's real headroom also reserves
+          each resident prefill's next chunk and never drops below the floor, so a
+          candidate blocked at the floor stays blocked (one that is not is answered
+          with "not parked": a conservative miss when prefills are resident);
+        * the top waiting request is admitted per :meth:`_admission_plan` — same cached
+          match, same suffix chunk.  A blocked admission makes ``step()`` evict cached
+          blocks, which changes the trie even when admission stays blocked, so it is
+          parked only when no cached block is idle (:meth:`PrefixCache.can_free`).  The
+          trie is structurally frozen inside an epoch (insert happens only at prefill
+          completions, evict only in ``step()``'s pressure paths, hits only at
+          admissions — all epoch-enders), and cached blocks' reference counts change
+          only when a sequence is freed, after the epoch's last iteration.
         """
-        return bool(
-            self._running
-            and not self._waiting
-            and not self._imported
-            and not self._prefilling
-            and not self._swapped
-            and self._pending_transfer_s == 0.0
-            and self.kv_cache.num_sequences == len(self._running)
-        )
-
-    # ---- parked-queue proofs: a queued request only becomes schedulable through more
-    # free KV blocks, a smaller resident set, or leftover token budget.  Inside one
-    # no-completion fast-forward segment the resident set and the iteration budget are
-    # frozen and free blocks only shrink, so "blocked now" implies "blocked for the whole
-    # segment" — the monotonicity every check below leans on.
-    def _admission_parked(self, budget_left: int) -> bool:
-        """True when the admission loop could not admit the top waiting request now
-        (and, by monotonicity, not at any later iteration of a pinned segment).
-
-        With prefix caching the check mirrors admission exactly via
-        :meth:`_admission_plan` — same cached match, same suffix chunk — and adds the
-        eviction escape hatch: a blocked admission that stepwise ``step()`` would
-        unblock by evicting idle cached blocks is *not* parked.  Monotonicity holds
-        because the trie is structurally frozen inside a pinned segment (insert happens
-        only at prefill completions, evict only in ``step()``'s pressure paths, hits
-        only at admissions — all segment-enders) and cached blocks' reference counts
-        can only change at completions, which also end segments.
-        """
-        if not self._waiting:
-            return True
-        if budget_left <= 0 or self.num_resident >= self.max_batch_size:
-            return True
-        request = self._waiting[0][2]
-        _, take = self._admission_plan(request, budget_left)
-        if self.kv_cache.can_admit(take):
-            return False
-        if self.prefix_cache is not None:
-            needed = (
-                self.kv_cache.config.blocks_for_tokens(take)
-                - self.kv_cache.num_free_blocks
-            )
-            if self.prefix_cache.can_free(needed):
-                return False
-        return True
-
-    def _imports_parked(self) -> bool:
-        """True when the top imported sequence cannot land its KV blocks now (nor later
-        in a pinned segment: free blocks only shrink, the resident count is frozen)."""
-        if not self._imported:
-            return True
         if self.num_resident >= self.max_batch_size:
-            return True
-        request = self._imported[0][2]
-        needed = self.kv_cache.config.blocks_for_tokens(request.imported_kv_tokens)
-        return needed > self.kv_cache.num_free_blocks
-
-    def _swap_ins_parked(self) -> bool:
-        """True when no swapped-out sequence can return to the device pool now.
-
-        The proof compares every candidate against the swap-in headroom *floor* — one
-        slot block per running sequence — at the segment's starting free-block count.
-        With no resident prefills (the decode-only fast path) that floor is exactly the
-        scan's headroom, and both sides are frozen for a pinned segment while free
-        blocks only shrink: blocked stays blocked.  With resident prefills (the mixed
-        fast path) the scan's real headroom additionally reserves each prefill's next
-        chunk and thus never drops below the floor, so a candidate that cannot land at
-        the floor can never land inside the epoch either; one that could is answered
-        with "not parked" and the phase runs stepwise (a conservative miss, never a
-        wrong jump).
-        """
-        if not self._swapped:
             return True
         kv = self.kv_cache
         free = kv.num_free_blocks
-        if free <= 0:
-            return True
-        if self.num_resident >= self.max_batch_size:
-            return True
+        if self._imported:
+            request = self._imported[0][2]
+            if kv.config.blocks_for_tokens(request.imported_kv_tokens) <= free:
+                return False
         headroom = len(self._running)
         for request in self._swapped:
             needed = kv.swapped_sequence(request.request_id).num_blocks
@@ -1101,92 +1045,135 @@ class ContinuousBatchingScheduler:
                 needed += 1
             if needed + headroom <= free:
                 return False
+        if self._waiting and budget_left > 0:
+            _, take = self._admission_plan(self._waiting[0][2], budget_left)
+            if kv.can_admit(take):
+                return False
+            return self.prefix_cache is None or not self.prefix_cache.can_free()
         return True
 
     def fast_forward(self, stop_before: Optional[float] = None) -> int:
-        """Advance a deterministic phase in one closed-form jump.
+        """Advance deterministic iterations in closed-form *epochs*.
 
-        Two phase shapes are handled, covering both ends of the serving spectrum:
+        An epoch is a run of iterations whose batch composition is frozen: every running
+        sequence decodes one token per iteration, and every resident prefill advances by
+        the same chunk — :meth:`step`'s budget walk, run once for the epoch's first
+        iteration (decode-only is the epoch with no chunks).  The epoch ends at the
+        first of:
 
-        * **steady decode** — every resident request is decoding
-          (:meth:`_fast_forward_decode`): jump to the next completion, KV exhaustion or
-          the driver's horizon, chaining through completions;
-        * **pinned mixed prefill+decode** — resident prefills advance by a frozen chunk
-          schedule alongside the decode batch (:meth:`_fast_forward_mixed`): jump to the
-          first composition-changing iteration (a prefill completion / first-token
-          emission, a decode completion, a KV allocation that cannot be satisfied, or the
-          horizon).
+        * the iteration that emits the earliest finisher's last token (it runs inside
+          the epoch, which retires the finished requests);
+        * the last iteration before a prompt-completing chunk (that chunk's first-token
+          emission and prefix publication are left to :meth:`step`);
+        * the last iteration whose KV allocations the free pool can supply;
+        * the driver's horizon ``stop_before`` (the next arrival / cluster event): only
+          iterations *starting* strictly before it run, matching the stepwise drivers.
 
-        Queued-but-parked work (waiting arrivals, un-landed imports, swapped-out
-        sequences) no longer forces stepwise execution: the jump proceeds whenever the
-        queues provably cannot make progress before its end (see the ``_parked`` checks).
+        Queued work (waiting arrivals, un-landed imports, swapped-out sequences) does not
+        force stepwise execution as long as it is provably parked for the whole epoch
+        (:meth:`_queues_parked`).  An epoch that retires requests with nothing queued
+        is followed by the next epoch in the same call; with work queued, the freed
+        blocks may unpark it, so the next iteration goes back to :meth:`step`.
 
-        ``stop_before`` is the driver's horizon (the next arrival / cluster event): only
-        iterations *starting* strictly before it may run, matching the stepwise drivers.
-        Bit-identical to calling :meth:`step` the same number of times — per-iteration
-        costs come from the same (memoized or elementwise-identical vectorized) closed
-        forms, and the clock is accumulated by the same sequential float additions
-        (``np.cumsum``).
-
-        Returns the number of iterations advanced; 0 means the caller must take the
-        stepwise path (the next iteration changes state in a way only :meth:`step`
-        handles: admission, preemption, swaps, prefill completions, ...).
+        Bit-identical to calling :meth:`step` the same number of times: every iteration
+        is priced by :meth:`~repro.serving.engine.ServingEngine.iteration_time`, the
+        core ``step()`` prices through (scalar for short epochs, elementwise over arrays
+        for long ones), and the clock is accumulated by the same sequential float
+        additions (``np.cumsum``).  Returns the number of iterations advanced; 0 means
+        the caller must :meth:`step` (admission, preemption, swaps, a prompt-completing
+        chunk, ...).
         """
-        if not self.fast_forward_enabled:
-            return 0
-        if self._prefilling:
-            return self._fast_forward_mixed(stop_before)
-        return self._fast_forward_decode(stop_before)
-
-    def _fast_forward_decode(self, stop_before: Optional[float]) -> int:
-        """Closed-form jump through a (possibly parked-queue) steady decode phase."""
-        if (
-            not self._running
-            or self._pending_transfer_s != 0.0
-            or self.kv_cache.num_sequences != len(self._running)
-        ):
-            return 0
-        queued = bool(self._waiting or self._imported or self._swapped)
-        if queued and not (
-            self._admission_parked(max(0, self.max_batched_tokens - len(self._running)))
-            and self._imports_parked()
-            and self._swap_ins_parked()
-        ):
+        if not self.fast_forward_enabled or self._pending_transfer_s != 0.0:
             return 0
         kv = self.kv_cache
+        if kv.num_sequences != self.num_resident:
+            return 0  # a replaced pool with foreign residents: step through it
+        queued = bool(self._waiting or self._imported or self._swapped)
         block_tokens = kv.config.block_tokens
+        engine = self.engine
         advanced = 0
-        # One call chains through *every* decode-only segment up to the horizon: a
-        # completion shrinks the batch but leaves the phase steady, so the loop re-plans
-        # with the survivors instead of bouncing back through the driver per finisher.
-        while self._running:
+        while self._running or self._prefilling:
             if stop_before is not None and not self._clock < stop_before:
                 break
             running = self._running
             batch = len(running)
-            states = [kv.sequence(r.request_id) for r in running]
-
-            # ---- completion horizon: the k-th iteration emits the earliest finisher's
-            # last token; no request can leave the batch before that.
-            k = min(r.output_tokens - r.generated for r in running)
-
-            # ---- KV horizon: growing every sequence by k tokens must fit the free pool
-            # (block-boundary crossings are the only allocations while decoding).  A
-            # cheap worst-case bound (every sequence one boundary past ceil(k/bt))
-            # usually proves the pool is ample without touching the per-sequence counts.
+            run_states = [kv.sequence(r.request_id) for r in running]
             free_blocks = kv.num_free_blocks
-            if batch * ((k + block_tokens - 1) // block_tokens + 1) > free_blocks:
-                contexts = np.array([s.num_tokens for s in states], dtype=np.int64)
-                held_blocks = np.array([s.num_blocks for s in states], dtype=np.int64)
+
+            # ---- the pinned chunk schedule: step()'s budget walk with iteration 1's
+            # sequential block allocation simulated exactly.  Decode slots allocate
+            # first; each resident prefill then either schedules its chunk (and keeps
+            # succeeding, see the KV horizon) or is starved (skipped without consuming
+            # budget).  A starved chunk stays starved for the whole epoch only if it
+            # cannot fit even the epoch's starting free-block count — free blocks only
+            # shrink; a skip caused by allocation order alone is not provably stable.
+            budget = max(0, self.max_batched_tokens - batch)
+            takes: List[Tuple[Request, SequenceState, int]] = []
+            if self._prefilling:
+                avail = free_blocks
+                for state in run_states:
+                    # This sequence's decode slot opens a new block.
+                    if (state.num_tokens + block_tokens) // block_tokens > len(state.blocks):
+                        avail -= 1
+                if avail < 0:
+                    break  # the decode slots alone exhaust the pool: step() preempts
+                for request in self._prefilling:
+                    if budget <= 0:
+                        break
+                    take = min(
+                        request.prefill_target - request.prefilled,
+                        self.prefill_chunk_tokens,
+                        budget,
+                    )
+                    state = kv.sequence(request.request_id)
+                    needed = (
+                        state.num_tokens + take + block_tokens - 1
+                    ) // block_tokens - len(state.blocks)
+                    if needed > avail:
+                        if needed <= free_blocks:
+                            return advanced  # skipped by allocation order only
+                        continue  # stable-starved: skipped every iteration of the epoch
+                    avail -= needed
+                    takes.append((request, state, take))
+                    budget -= take
+            if queued and not self._queues_parked(budget):
+                break
+
+            # ---- composition horizon: the earliest finisher's last decode iteration,
+            # and ceil(remaining / take) - 1 iterations before each prefill's completing
+            # chunk.
+            k = min(r.output_tokens - r.generated for r in running) if running else None
+            for request, _, take in takes:
+                safe = (request.prefill_target - request.prefilled + take - 1) // take - 1
+                if k is None or safe < k:
+                    k = safe
+            if not k:
+                break  # nothing to advance, or the next chunk completes a prompt
+
+            # ---- KV horizon: growing every decode slot by k tokens and every scheduled
+            # chunk by k chunks must fit the free pool.  A cheap worst-case bound (each
+            # sequence one boundary past its growth) usually proves the pool ample;
+            # otherwise binary search the largest feasible k (0: the next iteration's
+            # allocation fails and step() runs the preemption / chunk-skip machinery).
+            bound = batch * ((k + block_tokens - 1) // block_tokens + 1)
+            for _, _, take in takes:
+                bound += (k * take + block_tokens - 1) // block_tokens + 1
+            if bound > free_blocks:
+                growth = [(s.num_tokens + block_tokens - 1, len(s.blocks), 1)
+                          for s in run_states]
+                growth += [(s.num_tokens + block_tokens - 1, len(s.blocks), take)
+                           for _, s, take in takes]
 
                 def blocks_demanded(iterations: int) -> int:
-                    grown = (contexts + iterations + block_tokens - 1) // block_tokens
-                    return int(np.maximum(grown - held_blocks, 0).sum())
+                    demand = 0
+                    for base, held, per_iteration in growth:
+                        grown = (base + iterations * per_iteration) // block_tokens - held
+                        if grown > 0:
+                            demand += grown
+                    return demand
 
                 if blocks_demanded(k) > free_blocks:
                     lo, hi = 0, k  # invariant: demand(lo) <= free < demand(hi)
-                    if blocks_demanded(0) > free_blocks:  # pragma: no cover - defensive
-                        break
                     while hi - lo > 1:
                         mid = (lo + hi) // 2
                         if blocks_demanded(mid) <= free_blocks:
@@ -1195,277 +1182,84 @@ class ContinuousBatchingScheduler:
                             hi = mid
                     k = lo
                     if k == 0:
-                        break  # next allocation OOMs: step() runs the preemption path
+                        break
 
-            # ---- price iterations 1..k (iteration i sums context T0 + (i-1)*batch)
-            # and find where the running clock crosses stop_before: only iterations
-            # *starting* strictly before it may run (the stepwise drivers hand control
-            # back the moment the clock reaches the horizon).  Both paths accumulate
-            # the clock by the same sequential float additions as stepwise `step()`;
-            # short segments stay scalar (and feed the memo cache), long ones go
-            # through one vectorized evaluation + cumsum.
-            total0 = sum(s.num_tokens for s in states)
-            completes = True
+            # ---- price iterations 1..k (iteration i sums decode context T0 + (i-1) *
+            # batch; each chunk's cached prefix grows by its size) and cut at the
+            # horizon.  Short epochs stay scalar, long ones are one array evaluation
+            # plus cumsum; both accumulate the clock like stepwise step().
+            total0 = 0
+            for state in run_states:
+                total0 += state.num_tokens
+            starts = [(take, request.prefilled) for request, _, take in takes]
             if k <= 16:
-                engine = self.engine
                 clock = self._clock
                 done = 0
                 while done < k:
                     if stop_before is not None and not clock < stop_before:
-                        completes = False
                         break
-                    clock += engine.decode_iteration_time(
-                        batch, total0 + done * batch
+                    clock += engine.iteration_time(
+                        batch,
+                        total0 + done * batch,
+                        [(take, start + done * take) for take, start in starts]
+                        if starts else (),
+                        batch,
                     )
                     done += 1
                 k = done
-                if k == 0:
-                    break  # pragma: no cover - guarded by the entry clock check
                 new_clock = clock
             else:
-                totals = total0 + np.arange(k, dtype=np.int64) * batch
-                times = self.engine.decode_iteration_times(batch, totals)
+                steps = np.arange(k, dtype=np.int64)
+                times = engine.iteration_time(
+                    batch,
+                    total0 + steps * batch,
+                    [(take, start + steps * take) for take, start in starts],
+                    batch,
+                )
                 clocks = np.cumsum(np.concatenate(([self._clock], times)))
                 if stop_before is not None:
-                    cut = int(np.searchsorted(clocks[:k], stop_before, side="left"))
-                    if cut < k:
-                        k, completes = cut, False
+                    k = min(k, int(np.searchsorted(clocks[:k], stop_before, side="left")))
                 new_clock = float(clocks[k])
 
-            # ---- apply: grow KV, advance the clock, emit k tokens per sequence,
-            # retire finishers — the same end state k stepwise iterations leave behind.
-            kv.grow_states(states, k)
+            # ---- apply: grow KV, advance the clock, move every progress counter by its
+            # k-iteration delta, retire finishers — the state k step() calls leave.
+            kv.grow_states(run_states, k)
+            for _, state, take in takes:
+                kv.extend_state(state, k * take)
             self._peak_util = max(self._peak_util, kv.utilization())
             self._peak_host_util = max(self._peak_host_util, kv.host_utilization())
-            self._peak_batch = max(self._peak_batch, batch)
-            segment_start = self._clock
+            self._peak_batch = max(self._peak_batch, batch + len(takes))
+            epoch_start = self._clock
             self._clock = new_clock
             self._num_iterations += k
+            self._chunk_count += k * len(takes)
             self._generated_tokens += k * batch
             self._outstanding_tokens -= k * batch
+            for request, _, take in takes:
+                request.prefilled += k * take
+                self._outstanding_tokens -= k * take
             advanced += k
             if self._tracer is not None:
-                # The fast-forwarded jump is recorded as one synthesized epoch span
-                # with its closed-form duration — the timeline shows the same wall
-                # clock a stepwise run would, at segment granularity.
+                # One synthesized span per epoch with its closed-form duration: the
+                # timeline shows the wall clock a stepwise run would, per epoch.
                 if self._tracer.span_events:
                     self._tracer.emit(
-                        "ff_decode", segment_start, replica=self._trace_replica,
-                        end=new_clock, iterations=k, batch=batch,
+                        "ff_mixed" if takes else "ff_decode", epoch_start,
+                        replica=self._trace_replica, end=new_clock, iterations=k,
+                        decode_batch=batch, chunks=len(takes),
                     )
                 self._maybe_sample_counters()
-            if completes:
-                still_running: List[Request] = []
-                for request in running:
-                    request.generated += k
-                    if request.finished:
-                        self._finish(request)
-                    else:
-                        still_running.append(request)
-                self._running = still_running
-                if queued:
-                    # Completions freed blocks and shrank the batch: a parked queue may
-                    # now make progress, so hand the next iteration back to step().
-                    break
-            else:
-                for request in running:
-                    request.generated += k
-                break  # horizon reached mid-segment: nothing finished, hand back
-        return advanced
-
-    def _fast_forward_mixed(self, stop_before: Optional[float]) -> int:
-        """Closed-form jump through one pinned mixed prefill+decode epoch.
-
-        With the resident set frozen, :meth:`step`'s chunk-budget walk is fully
-        deterministic: every resident prefill receives the *same* chunk size each
-        iteration (its remaining prompt shrinks by it, its cached prefix grows by it) and
-        every running sequence decodes one token.  The epoch runs until the first
-        iteration that would change the composition — a chunk that completes its prompt
-        (first-token emission), a decode completion, an admission / import / swap-in
-        becoming feasible, a KV allocation the pool cannot supply, or the driver's
-        horizon — which :meth:`step` then executes.  All iterations in between are priced
-        in one vectorized :meth:`~repro.serving.engine.ServingEngine.mixed_step_times`
-        evaluation, elementwise bit-identical to stepwise execution.
-
-        Returns the number of iterations advanced (0: the very next iteration is an
-        event iteration and the caller must :meth:`step`).
-        """
-        if (
-            self._pending_transfer_s != 0.0
-            or self.kv_cache.num_sequences != self.num_resident
-        ):
-            return 0
-        if stop_before is not None and not self._clock < stop_before:
-            return 0
-        if not self._swap_ins_parked():
-            return 0
-        kv = self.kv_cache
-        running = self._running
-        batch = len(running)
-
-        # ---- the pinned chunk schedule: the budget walk of step(), run once, with
-        # iteration 1's sequential block allocation simulated exactly.  Decode slots
-        # allocate first; each resident prefill then either *schedules* its chunk (the
-        # allocation succeeds — and keeps succeeding, see the demand bound below) or is
-        # *starved* (the allocation fails and the chunk is skipped without consuming
-        # budget).  A starved chunk stays starved for the whole epoch only if it cannot
-        # fit even the epoch's starting free-block count — free blocks only shrink while
-        # nothing completes; anything weaker (a skip caused by allocation order alone)
-        # falls back to stepwise.
-        block_tokens = kv.config.block_tokens
-        free_blocks = kv.num_free_blocks
-        run_states = [kv.sequence(r.request_id) for r in running]
-        slot_demand = 0
-        for state in run_states:
-            if (state.num_tokens + 1 + block_tokens - 1) // block_tokens > len(state.blocks):
-                slot_demand += 1
-        avail = free_blocks - slot_demand
-        if avail < 0:
-            return 0  # the decode reservation itself exhausts the pool: step() preempts
-        budget = max(0, self.max_batched_tokens - batch)
-        takes: List[Tuple[Request, int]] = []
-        chunk_states: List[Tuple[SequenceState, int]] = []
-        for request in self._prefilling:
-            if budget <= 0:
-                break
-            take = min(
-                request.prefill_target - request.prefilled,
-                self.prefill_chunk_tokens,
-                budget,
-            )
-            state = kv.sequence(request.request_id)
-            needed = (
-                state.num_tokens + take + block_tokens - 1
-            ) // block_tokens - len(state.blocks)
-            if needed < 0:
-                needed = 0  # pragma: no cover - a sequence never holds excess blocks
-            if needed > avail:
-                if needed <= free_blocks:
-                    return 0  # skipped by allocation order only: not provably stable
-                continue  # stable-starved: skipped every iteration, consumes no budget
-            avail -= needed
-            takes.append((request, take))
-            chunk_states.append((state, take))
-            budget -= take
-        if not self._admission_parked(budget) or not self._imports_parked():
-            return 0
-
-        # ---- composition horizon: the first completing iteration (the chunk that
-        # finishes a prompt, or the decode step that finishes a request) ends the epoch;
-        # it must run stepwise.  ceil(remaining / take) - 1 iterations are safely before
-        # a prefill's completing chunk.
-        k: Optional[int] = None
-        for request, take in takes:
-            remaining = request.prefill_target - request.prefilled
-            safe = (remaining + take - 1) // take - 1
-            k = safe if k is None else min(k, safe)
-        if batch:
-            decode_safe = min(r.output_tokens - r.generated for r in running) - 1
-            k = decode_safe if k is None else min(k, decode_safe)
-        if k is None or k <= 0:
-            return 0
-
-        # ---- KV horizon: the epoch's block demand (decode slots growing by one token
-        # per iteration, scheduled chunks by their chunk size) must fit the free pool;
-        # binary search the largest feasible iteration count.  k = 0 means the next
-        # iteration already cannot allocate — step() runs the preemption / chunk-skip
-        # machinery.
-        def blocks_demanded(iterations: int) -> int:
-            demand = 0
-            for state in run_states:
-                grown = (state.num_tokens + iterations + block_tokens - 1) // block_tokens
-                if grown > len(state.blocks):
-                    demand += grown - len(state.blocks)
-            for state, take in chunk_states:
-                grown = (
-                    state.num_tokens + iterations * take + block_tokens - 1
-                ) // block_tokens
-                if grown > len(state.blocks):
-                    demand += grown - len(state.blocks)
-            return demand
-
-        if blocks_demanded(k) > free_blocks:
-            if blocks_demanded(1) > free_blocks:
-                return 0
-            lo, hi = 1, k  # invariant: demand(lo) <= free < demand(hi)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if blocks_demanded(mid) <= free_blocks:
-                    lo = mid
+            still_running: List[Request] = []
+            for request in running:
+                request.generated += k
+                if request.finished:
+                    self._finish(request)
                 else:
-                    hi = mid
-            k = lo
-
-        # ---- price iterations 1..k and cut at the horizon: only iterations *starting*
-        # strictly before stop_before may run.  Both paths accumulate the clock by the
-        # same sequential float additions as stepwise step(); short epochs stay scalar
-        # (and feed the chunk-attention memo), long ones go through one vectorized
-        # evaluation + cumsum.
-        total0 = 0
-        for state in run_states:
-            total0 += state.num_tokens
-        if k <= 16:
-            engine = self.engine
-            clock = self._clock
-            done = 0
-            while done < k:
-                if stop_before is not None and not clock < stop_before:
-                    break
-                shapes = [
-                    (take, request.prefilled + done * take) for request, take in takes
-                ]
-                clock += engine.mixed_iteration_time(
-                    batch, total0 + done * batch, shapes, batch
-                )
-                done += 1
-            k = done
-            if k == 0:
-                return 0  # pragma: no cover - guarded by the entry clock check
-            new_clock = clock
-        else:
-            steps = np.arange(k, dtype=np.int64)
-            decode_totals = total0 + steps * batch if batch else None
-            chunk_runs = [
-                (take, request.prefilled + steps * take) for request, take in takes
-            ]
-            times = self.engine.mixed_step_times(batch, decode_totals, chunk_runs)
-            clocks = np.cumsum(np.concatenate(([self._clock], times)))
-            if stop_before is not None:
-                cut = int(np.searchsorted(clocks[:k], stop_before, side="left"))
-                if cut < k:
-                    k = cut
-            if k <= 0:
-                return 0  # pragma: no cover - guarded by the entry clock check
-            new_clock = float(clocks[k])
-
-        # ---- apply: grow KV, advance the clock, move every progress counter by its
-        # k-iteration delta — the same end state k stepwise iterations leave behind.
-        kv.grow_states(run_states, k)
-        for state, take in chunk_states:
-            kv.extend_state(state, k * take)
-        self._peak_util = max(self._peak_util, kv.utilization())
-        self._peak_host_util = max(self._peak_host_util, kv.host_utilization())
-        self._peak_batch = max(self._peak_batch, batch + len(takes))
-        epoch_start = self._clock
-        self._clock = new_clock
-        self._num_iterations += k
-        self._chunk_count += k * len(takes)
-        self._generated_tokens += k * batch
-        self._outstanding_tokens -= k * batch
-        for request in running:
-            request.generated += k
-        for request, take in takes:
-            request.prefilled += k * take
-            self._outstanding_tokens -= k * take
-        if self._tracer is not None:
-            if self._tracer.span_events:
-                self._tracer.emit(
-                    "ff_mixed", epoch_start, replica=self._trace_replica,
-                    end=new_clock, iterations=k, decode_batch=batch,
-                    chunks=len(takes),
-                )
-            self._maybe_sample_counters()
-        return k
+                    still_running.append(request)
+            self._running = still_running
+            if len(still_running) == batch or queued:
+                break  # cut short of a retirement, or the freed blocks may unpark work
+        return advanced
 
     # ------------------------------------------------------------------ simulation
     def run(self, requests: Sequence[Request]) -> SchedulerStats:
@@ -1494,8 +1288,9 @@ class ContinuousBatchingScheduler:
             if not self.has_work:
                 self._clock = arrivals[0][0]
                 continue
-            # ---- steady decode-only phases jump to the next event (arrival, earliest
-            # completion, KV exhaustion) in closed form; everything else steps.
+            # ---- frozen-composition epochs jump to the next event (arrival, completion,
+            # prompt-completing chunk, KV exhaustion) in closed form; everything else
+            # steps.
             if self.fast_forward(arrivals[0][0] if arrivals else None):
                 continue
             self.step()

@@ -39,8 +39,10 @@ kind                  shape   emitted by / meaning
 ``migrate``           span    cluster KV handoff prefill -> decode replica (args: bytes)
 ``finish``            instant request completed (args: ``generated``)
 ``iteration``         span    one stepwise mixed/decode engine iteration
-``ff_decode``         span    synthesized fast-forward decode epoch (args: iterations)
-``ff_mixed``          span    synthesized fast-forward mixed epoch (args: iterations)
+``ff_decode``         span    synthesized fast-forward epoch without prefill chunks
+``ff_mixed``          span    synthesized fast-forward epoch with prefill chunks; the
+                              one epoch planner picks the name by its chunk count (args
+                              of both: ``iterations``, ``decode_batch``, ``chunks``)
 ====================  ======  ==========================================================
 
 Instant events have ``end is None``; spans carry ``end >= ts``.  In

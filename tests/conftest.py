@@ -1,7 +1,20 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, and its Hypothesis profiles.
+
+Tier-1 runs under the ``ci`` profile: derandomized (every run draws the same examples),
+no deadline and no example database, so a green suite stays green.  Set
+``HYPOTHESIS_PROFILE=explore`` to draw fresh random examples instead; a counterexample
+found that way is pinned as an ``@example`` or an explicit regression test.
+"""
+
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True, deadline=None, database=None)
+settings.register_profile("explore", deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ composing the kernel registry and quant formats directly, and which — injected
 engine's numbers exactly.
 """
 
+import dataclasses
 import json
 import math
 
@@ -27,7 +28,7 @@ from repro.backend import (
 from repro.costmodel.model import GemmShape
 from repro.kernels.registry import get_kernel
 from repro.quant.kvcache import KV_FORMATS, kv_bytes_per_element
-from repro.serving.engine import ServingEngine
+from repro.serving.engine import PrefillChunk, ServingEngine
 from repro.serving.metrics import SloSpec
 from repro.serving.models import get_model
 from repro.serving.scheduler import ContinuousBatchingScheduler
@@ -127,7 +128,23 @@ def test_engine_bit_identical_with_injected_backend(system_name):
         assert default.decode_step_time(*args) == injected.decode_step_time(*args)
     assert default.prefill_time(1, 1024) == injected.prefill_time(1, 1024)
     assert default.lm_head_time(64) == injected.lm_head_time(64)
-    assert default.chunked_prefill_time(256, 512) == injected.chunked_prefill_time(256, 512)
+    chunk = [PrefillChunk(256, 512)]
+    assert default.mixed_step_time([], chunk) == injected.mixed_step_time([], chunk)
+
+
+def test_injected_attention_efficiency_reaches_every_prefill_cost():
+    """Prefill, recompute and chunked prefill all read the backend's attention efficiency,
+    not the system profile's: halving it on an injected backend slows all three."""
+    base = build_backend(get_system("liquidserve"), "H800")
+    halved = dataclasses.replace(
+        base, attention_efficiency=base.attention_efficiency / 2
+    )
+    default = ServingEngine("liquidserve", "llama2-7b", backend=base)
+    slower = ServingEngine("liquidserve", "llama2-7b", backend=halved)
+    assert slower.prefill_time(1, 4096) > default.prefill_time(1, 4096)
+    assert slower.recompute_time(4096) > default.recompute_time(4096)
+    chunk = [PrefillChunk(256, 2048)]
+    assert slower.mixed_step_time([], chunk) > default.mixed_step_time([], chunk)
 
 
 def test_scheduler_run_bit_identical_with_injected_backend():

@@ -173,7 +173,10 @@ class TestBenchSchema:
         """PR-8's observability criteria, pinned against the committed trajectory: the
         traced re-run of trace_simulation is bit-identical to the untraced one, every
         phase breakdown tiles exactly, the tracer-off re-measure stays within noise of
-        the baseline wall (the null path is free), and a Chrome trace artifact exists."""
+        the baseline wall (the null path is free), and the run names its Chrome trace
+        artifact.  Every bench run rewrites that artifact, so it is gitignored rather
+        than committed (CI uploads the fast-mode one); the Perfetto shape of the
+        payload it holds is pinned by ``tests/test_telemetry.py::TestChromeTraceExport``."""
         section = payload["tracing"]
         assert section["bit_identical"] is True
         assert section["breakdowns_exact"] is True
@@ -182,12 +185,8 @@ class TestBenchSchema:
         assert section["harness"]["off_vs_baseline_ratio"] > 0.0
         assert section["harness"]["traced_wall_time_s"] > 0.0
         assert section["trace_artifact"] == os.path.basename(bench.TRACE_RESULT_PATH)
-        artifact = os.path.join(_ROOT, section["trace_artifact"])
-        with open(artifact, encoding="utf-8") as fh:
-            trace = json.load(fh)
-        assert trace["traceEvents"]  # Perfetto-loadable: non-empty event array
-        phases = {ev["ph"] for ev in trace["traceEvents"]}
-        assert {"X", "C", "b", "e"} <= phases  # spans, counters, async request tracks
+        with open(os.path.join(_ROOT, ".gitignore"), encoding="utf-8") as fh:
+            assert section["trace_artifact"] in fh.read().split()
 
     def test_committed_trajectory_records_fast_forward_speedup(self, payload):
         """PR-4's acceptance criterion, pinned against the committed trajectory: the

@@ -16,6 +16,7 @@ every stat, every per-request timestamp.  These tests pin that equivalence:
 import copy
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -69,6 +70,20 @@ def assert_stats_identical(stepwise, fast):
     # Per-request latency decompositions (frozen dataclasses: == is field equality).
     assert sorted(request_metrics(lhs), key=lambda m: m.request_id) == sorted(
         request_metrics(rhs), key=lambda m: m.request_id
+    )
+
+
+def _in_steady_decode(scheduler):
+    """Every resident decodes, nothing is queued and the pool holds only the residents:
+    the state a decode-only fast-forward epoch starts from."""
+    return bool(
+        scheduler._running
+        and not scheduler._waiting
+        and not scheduler._imported
+        and not scheduler._prefilling
+        and not scheduler._swapped
+        and scheduler._pending_transfer_s == 0.0
+        and scheduler.kv_cache.num_sequences == len(scheduler._running)
     )
 
 
@@ -257,7 +272,7 @@ class TestMixedPhaseEquivalence:
             for i in range(3):
                 scheduler.submit(Request(request_id=i, prompt_tokens=64,
                                          output_tokens=400))
-            while not scheduler.in_steady_decode:
+            while not _in_steady_decode(scheduler):
                 scheduler.step()
             scheduler.submit(Request(request_id=99, prompt_tokens=4096,
                                      output_tokens=4))
@@ -267,7 +282,7 @@ class TestMixedPhaseEquivalence:
 
         fast = build()
         step = build()
-        advanced = fast._fast_forward_mixed(None)
+        advanced = fast.fast_forward()
         assert advanced > 1
         for _ in range(advanced):
             step.step()
@@ -282,8 +297,8 @@ class TestMixedPhaseEquivalence:
         scheduler.submit(Request(request_id=0, prompt_tokens=1000, output_tokens=4))
         scheduler.step()  # admit + first chunk (256 of 1000)
         # Remaining 744 at chunk 256: two full chunks are safe, the third completes.
-        assert scheduler._fast_forward_mixed(None) == 2
-        assert scheduler._fast_forward_mixed(None) == 0  # completing chunk: step only
+        assert scheduler.fast_forward() == 2
+        assert scheduler.fast_forward() == 0  # completing chunk: step only
         scheduler.step()
         assert scheduler._prefilling == [] and scheduler._running
 
@@ -414,9 +429,9 @@ class TestPrefixCacheEquivalence:
 
 
 class TestMixedStepTimesVectorization:
-    """engine.mixed_step_times / mixed_iteration_time: one implementation, three entry
-    shapes — the scalar step path, the scalar epoch path and the vectorized epoch path
-    must agree bit for bit or fast-forward drifts from stepwise."""
+    """engine.iteration_time: one implementation, three entry shapes — the scalar step
+    path (mixed_step_time), the scalar epoch path and the vectorized epoch path must
+    agree bit for bit or fast-forward drifts from stepwise."""
 
     @pytest.mark.parametrize("system,model,tp", [
         ("liquidserve", "llama2-7b", 1),
@@ -433,13 +448,13 @@ class TestMixedStepTimesVectorization:
         steps = np.arange(k, dtype=np.int64)
         totals = 2000 + steps * batch
         runs = [(256, 512 + steps * 256), (96, 64 + steps * 96)]
-        vectorized = engine.mixed_step_times(batch, totals, runs)
+        vectorized = engine.iteration_time(batch, totals, runs, batch)
         contexts = [100, 200, 300, 400, 1000]
         for i in range(k):
             chunks = [PrefillChunk(256, 512 + i * 256), PrefillChunk(96, 64 + i * 96)]
             scalar = engine.mixed_step_time([c + i for c in contexts], chunks)
             assert scalar == float(vectorized[i])
-            assert scalar == engine.mixed_iteration_time(
+            assert scalar == engine.iteration_time(
                 batch, 2000 + i * batch, [(256, 512 + i * 256), (96, 64 + i * 96)],
                 batch,
             )
@@ -450,7 +465,7 @@ class TestMixedStepTimesVectorization:
 
         engine = ServingEngine("liquidserve", "llama2-7b")
         steps = np.arange(6, dtype=np.int64)
-        vectorized = engine.mixed_step_times(0, None, [(256, steps * 256)])
+        vectorized = engine.iteration_time(0, 0, [(256, steps * 256)], 0)
         for i in range(6):
             assert float(vectorized[i]) == engine.mixed_step_time(
                 [], [PrefillChunk(256, i * 256)]
@@ -461,11 +476,11 @@ class TestMixedStepTimesVectorization:
 
         engine = ServingEngine("liquidserve", "llama2-7b")
         totals = 3000 + np.arange(4, dtype=np.int64) * 7
-        vectorized = engine.mixed_step_times(7, totals, [])
+        vectorized = engine.iteration_time(7, totals, [], 7)
         for i, total in enumerate(totals):
-            assert float(vectorized[i]) == engine.decode_iteration_time(7, int(total))
+            assert float(vectorized[i]) == engine.iteration_time(7, int(total), (), 7)
         with pytest.raises(ValueError):
-            engine.mixed_step_times(0, None, [])
+            engine.iteration_time(0, 0, [], 0)
 
 
 class TestFastForwardUnit:
@@ -476,7 +491,7 @@ class TestFastForwardUnit:
         for i in range(num_requests):
             scheduler.submit(Request(request_id=i, prompt_tokens=64,
                                      output_tokens=output_tokens))
-        while not scheduler.in_steady_decode:
+        while not _in_steady_decode(scheduler):
             scheduler.step()
         return scheduler
 
@@ -486,7 +501,7 @@ class TestFastForwardUnit:
         )
         assert scheduler.fast_forward() == 0  # idle: nothing to advance
         scheduler.submit(Request(request_id=0, prompt_tokens=32, output_tokens=4))
-        assert not scheduler.in_steady_decode  # prefill pending
+        assert not _in_steady_decode(scheduler)  # prefill pending
         assert scheduler.fast_forward() == 0
 
     def test_disabled_scheduler_never_jumps(self):
@@ -494,7 +509,7 @@ class TestFastForwardUnit:
             ServingEngine("liquidserve", "llama2-7b"), fast_forward=False
         )
         scheduler.submit(Request(request_id=0, prompt_tokens=32, output_tokens=8))
-        while not scheduler.in_steady_decode:
+        while not _in_steady_decode(scheduler):
             scheduler.step()
         assert scheduler.fast_forward() == 0
 
@@ -546,7 +561,7 @@ class TestFastForwardUnit:
 class TestDecodeCostClosedForm:
     """Pin the engine's hoisted decode closed form to the attention module's formula.
 
-    ``_decode_step_core`` restates the arithmetic of
+    ``iteration_time`` restates the arithmetic of
     :func:`decode_attention_cost_from_totals` with hoisted scalars for speed; if either
     side drifts (a formula tweak, a changed bandwidth-efficiency default), decode-only
     iterations would silently diverge from mixed decode+prefill iterations.  Exact
@@ -576,9 +591,11 @@ class TestDecodeCostClosedForm:
                 + 2.0 * engine.allreduce_time(batch)
             )
             expected = per_layer * engine.model.num_layers + engine.lm_head_time(batch)
-            assert engine.decode_iteration_time(batch, total) == expected
+            assert engine.iteration_time(batch, total, (), batch) == expected
             # ...and the vectorized form agrees element-wise, bit for bit.
-            assert float(engine.decode_iteration_times(batch, [total])[0]) == expected
+            assert float(
+                engine.iteration_time(batch, np.array([total]), (), batch)[0]
+            ) == expected
 
 
 class TestOutstandingTokensCounter:
@@ -609,7 +626,7 @@ class TestOutstandingTokensCounter:
             ServingEngine("liquidserve", "llama2-7b")
         )
         scheduler.submit(Request(request_id=0, prompt_tokens=64, output_tokens=30))
-        while not scheduler.in_steady_decode:
+        while not _in_steady_decode(scheduler):
             scheduler.step()
             assert scheduler.outstanding_tokens == scheduler._outstanding_tokens_scan()
         assert scheduler.fast_forward() > 0

@@ -210,10 +210,10 @@ class TestLruEviction:
         kv.free_sequence(0)
         leaf_block = state.blocks[3]
         kv.retain_block(leaf_block)  # stand-in for a live sequence sharing the leaf
-        assert cache.can_free(3)
-        assert not cache.can_free(4)  # the pinned leaf itself frees nothing
-        assert cache.evict(4) == 3
+        assert cache.can_free()  # the idle interior is reachable
+        assert cache.evict(4) == 3  # the pinned leaf itself frees nothing
         assert cache.num_blocks == 0
+        assert not cache.can_free()
         assert kv.block_ref_count(leaf_block) == 1  # the live holder keeps its copy
         kv.release_block(leaf_block)
         assert kv.num_used_blocks == 0
@@ -223,12 +223,13 @@ class TestLruEviction:
         cache = PrefixCache(kv)
         request = shared_request(0, shared=64)
         publish(cache, kv, 0, request)
-        assert not cache.can_free(1)        # prefiller still live: nothing evictable
+        assert not cache.can_free()         # prefiller still live: nothing evictable
+        assert cache.evict(4) == 0
+        assert cache.num_blocks == 4        # ...and the trie is left untouched
         kv.free_sequence(0)
-        assert cache.can_free(4)
-        assert not cache.can_free(5)
-        assert cache.can_free(0)
+        assert cache.can_free()
         assert cache.evict(4) == 4
+        assert not cache.can_free()
 
     def test_reset_releases_everything(self):
         kv = PagedKvCache(make_config())

@@ -262,30 +262,35 @@ class TestBoundedMemoCaches:
         stats = engine.cache_stats()
         assert set(stats) == {
             "layer_gemm", "lm_head", "layer_others", "allreduce",
-            "decode_step", "decode_coeffs", "chunk_attention",
+            "step_coeffs", "chunk_attention",
         }
         for entry in stats.values():
             assert entry == {"entries": 0, "max_entries": 65536, "evictions": 0}
-        engine.decode_iteration_time(4, 4096)
+        engine.iteration_time(4, 4096, (), 4)
+        engine.iteration_time(4, 8192, (), 4)  # same shape: the coefficients are reused
         stats = engine.cache_stats()
-        assert stats["decode_step"]["entries"] == 1
-        assert stats["decode_coeffs"]["entries"] == 1
+        assert stats["step_coeffs"]["entries"] == 1
+        assert stats["chunk_attention"]["entries"] == 0
+        engine.iteration_time(4, 4096, [(256, 0)], 4)
+        stats = engine.cache_stats()
+        assert stats["step_coeffs"]["entries"] == 2
+        assert stats["chunk_attention"]["entries"] == 1
 
     def test_eviction_bounds_entries_and_preserves_values(self):
         tiny = ServingEngine("liquidserve", "llama2-7b", memo_cache_entries=8)
         reference = ServingEngine("liquidserve", "llama2-7b")
         values = {
-            total: tiny.decode_iteration_time(2, total)
-            for total in range(100, 100 + 40)
+            batch: tiny.iteration_time(batch, 100 * batch, (), batch)
+            for batch in range(1, 1 + 40)
         }
-        stats = tiny.cache_stats()["decode_step"]
+        stats = tiny.cache_stats()["step_coeffs"]
         assert stats["entries"] <= 8
         assert stats["evictions"] == 40 - 8
         # Re-computing an evicted key gives the identical value: eviction is invisible
         # to results, only to memory.
-        for total, value in values.items():
-            assert tiny.decode_iteration_time(2, total) == value
-            assert reference.decode_iteration_time(2, total) == value
+        for batch, value in values.items():
+            assert tiny.iteration_time(batch, 100 * batch, (), batch) == value
+            assert reference.iteration_time(batch, 100 * batch, (), batch) == value
 
     def test_memo_cache_entries_validated(self):
         with pytest.raises(ValueError, match="positive"):

@@ -590,8 +590,9 @@ class KvPrefixCacheMachine(KvForkSwapMachine):
     The cache holds one pool reference per published block, so the parent's refcount and
     conservation invariants are re-derived here to count cache nodes as holders.  The new
     rules pin the contracts the scheduler leans on: :meth:`PrefixCache.evict` returns
-    exactly the blocks it put back in the free pool, :meth:`PrefixCache.can_free` agrees
-    with what eviction then achieves (the fast-forward parked proofs depend on that), and
+    exactly the blocks it put back in the free pool, :meth:`PrefixCache.can_free` holds
+    exactly when eviction then frees a block and otherwise eviction leaves the trie
+    untouched (the fast-forward parked proofs depend on that), and
     a cached block can never be freed out from under the trie by a live sequence's
     truncate/free/swap.
     """
@@ -647,11 +648,15 @@ class KvPrefixCacheMachine(KvForkSwapMachine):
     @rule(num=st.integers(min_value=1, max_value=8))
     def evict(self, num):
         free_before = self.cache.num_free_blocks
-        could = self.prefix.can_free(num)
+        nodes_before = dict(self.prefix._nodes)
+        could = self.prefix.can_free()
         freed = self.prefix.evict(num)
         assert self.cache.num_free_blocks == free_before + freed
-        # can_free is evict's side-effect-free twin: its promise must be exact.
-        assert (freed >= num) == could
+        # can_free is evict's exact side-effect-free precondition: eviction frees a
+        # block exactly when it holds, and is a no-op on the trie otherwise.
+        assert (freed >= 1) == could
+        if not could:
+            assert self.prefix._nodes == nodes_before
 
     @invariant()
     def refcounts_match_resident_references(self):

@@ -36,24 +36,24 @@ def small_pool_scheduler(engine, budget_mb, **kwargs):
 class TestRaggedStepApi:
     def test_uniform_context_matches_decode_step(self, engine):
         uniform = engine.decode_step_time(16, 512)
-        ragged = engine.ragged_decode_step_time([512] * 16)
+        ragged = engine.mixed_step_time([512] * 16)
         assert ragged == pytest.approx(uniform)
 
     def test_ragged_cheaper_than_batch_max(self, engine):
         """Per-sequence accounting must undercut charging every sequence at the max."""
         contexts = [64] * 15 + [4096]
-        ragged = engine.ragged_decode_step_time(contexts)
+        ragged = engine.mixed_step_time(contexts)
         at_max = engine.decode_step_time(16, 4096)
         assert ragged < at_max
 
     def test_mixed_step_adds_prefill_cost(self, engine):
-        decode_only = engine.ragged_decode_step_time([256] * 8)
+        decode_only = engine.mixed_step_time([256] * 8)
         mixed = engine.mixed_step_time([256] * 8, [PrefillChunk(256, 0)])
         assert mixed > decode_only
 
     def test_chunked_prefill_time_positive_and_grows_with_context(self, engine):
-        early = engine.chunked_prefill_time(256, context_start=0)
-        late = engine.chunked_prefill_time(256, context_start=2048)
+        early = engine.mixed_step_time([], [PrefillChunk(256, context_start=0)])
+        late = engine.mixed_step_time([], [PrefillChunk(256, context_start=2048)])
         assert 0 < early < late
 
     def test_empty_iteration_rejected(self, engine):

@@ -77,7 +77,7 @@ class TestEngineMemoHookup:
         assert set(memo) == set(
             ServingEngine("liquidserve", "llama2-7b").cache_stats()
         )
-        assert memo["decode_step"]["entries"] > 0
+        assert memo["step_coeffs"]["entries"] > 0
         assert memo["layer_gemm"]["entries"] > 0
         for stats in memo.values():
             assert set(stats) == {"entries", "max_entries", "evictions"}
@@ -93,12 +93,12 @@ class TestEngineMemoHookup:
         )
         assert len(tracer._engines) == 1  # replicas share the cluster's engine
         single = tracer.engine_memo_stats()
-        assert single["decode_step"]["entries"] > 0
+        assert single["step_coeffs"]["entries"] > 0
         tracer.attach_engine(ServingEngine("liquidserve", "llama2-7b"))
         merged = tracer.engine_memo_stats()
-        assert merged["decode_step"]["entries"] == single["decode_step"]["entries"]
-        assert merged["decode_step"]["max_entries"] >= (
-            single["decode_step"]["max_entries"]
+        assert merged["step_coeffs"]["entries"] == single["step_coeffs"]["entries"]
+        assert merged["step_coeffs"]["max_entries"] >= (
+            single["step_coeffs"]["max_entries"]
         )
 
 
