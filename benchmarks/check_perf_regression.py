@@ -12,8 +12,9 @@ fast-forward machinery:
   which ran interpretively before PR 5 and would silently fall back to interpretive
   again if the mixed fast path regressed;
 * ``prefix_cache`` — the shared-prefix agent-swarm path with the radix cache enabled,
-  guarding both the O(prefix blocks) trie lookups in admission and the cache-enabled
-  fast-forward proofs (a cache bug that forced stepwise execution would crater this);
+  guarding both the trie lookups in admission (a walk of the stream's memoized key chain)
+  and the cache-enabled fast-forward proofs (a cache bug that forced stepwise execution
+  would crater this);
 * ``sweep_grid`` — end-to-end cell throughput of the 1,120-cell kernel-backend grid
   (``cells_per_s``), guarding the once-per-configuration backend/engine resolution: a
   backend rebuild accidentally moved into the per-cell path would crater this.

@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .engine import ServingEngine
 from .metrics import SloReport, SloSpec, compute_slo_report
+from .prefixcache import PrefixKeyTable
 from .router import RouterPolicy, get_router_policy
 from .scheduler import ContinuousBatchingScheduler, Request, SchedulerStats
 from .systems import (
@@ -306,8 +307,9 @@ class ServingCluster:
             self.replicas[0].scheduler._check_servable(request)
 
         router = get_router_policy(self.router_name)
+        prefix_keys = PrefixKeyTable(self.replicas[0].scheduler.kv_cache.config.block_tokens)
         for replica in self.replicas:
-            replica.scheduler.begin(0.0)
+            replica.scheduler.begin(0.0, prefix_keys)
         state = _RunState(origs={r.request_id: r for r in requests})
         if self.disaggregated:
             # Originals are merge targets (never submitted): reset their scheduler-owned

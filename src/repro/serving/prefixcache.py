@@ -8,9 +8,13 @@ simulator's version of that index:
 * **Chained interned keys** — every cached block is identified by an interned integer key
   derived from ``(parent_key, block_content)``, where the content is the tuple of
   ``(segment_id, start, end)`` pieces covering that block.  Chaining makes the structure a
-  radix tree without materializing per-node child tables: looking up a prefix is one dict
-  probe per block, O(prefix blocks) total, and diverging continuations branch naturally
-  (two conversations sharing a system prompt share exactly its nodes).
+  radix tree without materializing per-node child tables, and diverging continuations
+  branch naturally (two conversations sharing a system prompt share exactly its nodes).
+  A :class:`PrefixKeyTable` interns the keys and memoizes each
+  ``(prefix_group, prefix_segments)`` stream's chain of keys, so a stream's block contents
+  are walked once per run: a cluster run hands one table to every replica, and each
+  cache's lookups, hits and publications walk that precomputed int chain against the
+  cache's own trie.
 * **Fork-on-admit** — the scheduler asks :meth:`PrefixCache.match_blocks` for the longest
   cached prefix of an admitting request and seeds the new sequence with those physical
   blocks via :meth:`~repro.serving.kvcache.PagedKvCache.fork_from_blocks`; only the
@@ -43,7 +47,7 @@ from .kvcache import PagedKvCache
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .scheduler import Request
 
-__all__ = ["PrefixCache", "PrefixCacheStats"]
+__all__ = ["PrefixCache", "PrefixCacheStats", "PrefixKeyTable"]
 
 #: One block's content: the ``(segment_id, start, end)`` pieces covering its tokens.
 BlockContent = Tuple[Tuple[int, int, int], ...]
@@ -69,15 +73,13 @@ class PrefixCacheStats:
 class _PrefixNode:
     """One cached block: a trie node owning exactly one physical KV block."""
 
-    __slots__ = ("key", "parent", "block", "children", "depth", "stamp")
+    __slots__ = ("key", "parent", "block", "children", "stamp")
 
-    def __init__(self, key: int, parent: Optional["_PrefixNode"], block: int,
-                 depth: int, stamp: int):
+    def __init__(self, key: int, parent: Optional["_PrefixNode"], block: int, stamp: int):
         self.key = key
         self.parent = parent
         self.block = block
         self.children = 0          # child-node count: 0 means leaf (eviction candidate)
-        self.depth = depth
         self.stamp = stamp         # logical LRU time of the last touch
 
 
@@ -112,23 +114,53 @@ def _block_contents(segments: Tuple[Tuple[int, int], ...], block_tokens: int,
                     return
 
 
-class PrefixCache:
-    """Block-granular radix index over a :class:`PagedKvCache`'s published prefixes."""
+class PrefixKeyTable:
+    """Interned block keys of the shareable prefix streams of one run.
 
-    def __init__(self, kv_cache: PagedKvCache):
+    Keys are interned from ``(parent_key, block_content)`` (a group's root from
+    ``(None, prefix_group)``) and each ``(prefix_group, prefix_segments)`` stream's chain is
+    memoized.  The table holds no cache state, so every replica of a cluster run shares one.
+    It has no public method: a layer trace wrapping this module's public callables must
+    count no call to it.
+    """
+
+    def __init__(self, block_tokens: int):
+        self.block_tokens = block_tokens
+        self._keys: Dict[Tuple[object, object], int] = {}
+        self._chains: Dict[Tuple[object, object], Tuple[int, ...]] = {}
+
+    def _chain(self, request: "Request") -> Tuple[int, ...]:
+        """Keys of the full blocks of ``request``'s shareable prefix, shallowest first."""
+        stream = (request.prefix_group, request.prefix_segments)
+        chain = self._chains.get(stream)
+        if chain is None:
+            keys, block_tokens = self._keys, self.block_tokens
+            # ``keys`` is append-only, so its length is always a fresh key.
+            key = keys.setdefault((None, request.prefix_group), len(keys))
+            links = []
+            for content in _block_contents(request.prefix_segments, block_tokens,
+                                           request.shareable_prefix_tokens // block_tokens):
+                key = keys.setdefault((key, content), len(keys))
+                links.append(key)
+            chain = self._chains[stream] = tuple(links)
+        return chain
+
+
+class PrefixCache:
+    """Block-granular radix index over a :class:`PagedKvCache`'s published prefixes,
+    keyed by the run's shared :class:`PrefixKeyTable` (a table of its own by default)."""
+
+    def __init__(self, kv_cache: PagedKvCache, keys: Optional[PrefixKeyTable] = None):
+        block_tokens = kv_cache.config.block_tokens
+        if keys is None:
+            keys = PrefixKeyTable(block_tokens)
+        elif keys.block_tokens != block_tokens:
+            raise ValueError(f"prefix key table built for {keys.block_tokens}-token blocks "
+                             f"cannot index a pool of {block_tokens}-token blocks")
         self.kv_cache = kv_cache
-        # Interned key chain: (parent_key, block_content) -> key.  Append-only — keys of
-        # evicted nodes stay interned so a re-published prefix re-lands on the same ints.
-        self._interned: Dict[Tuple[int, object], int] = {}
+        self._keys = keys
         self._nodes: Dict[int, _PrefixNode] = {}
-        self._group_keys: Dict[object, int] = {}
-        self._next_key = 0
         self._tick = 0           # logical LRU clock (advances on hit/insert)
-        self._version = 0        # structure version (advances on insert/evict/reset)
-        # Per-version memo of match results: the parked-queue proofs re-evaluate the top
-        # waiting request's match on every fast-forward attempt, and the trie is static
-        # between structural changes.
-        self._match_memo: Dict[Tuple[int, int], List[_PrefixNode]] = {}
         self.hits = 0
         self.misses = 0
         self.saved_tokens = 0
@@ -155,11 +187,6 @@ class PrefixCache:
         """Physical blocks currently held (referenced) by the cache."""
         return len(self._nodes)
 
-    @property
-    def version(self) -> int:
-        """Bumped on every structural change (insert / evict / reset)."""
-        return self._version
-
     def stats(self) -> PrefixCacheStats:
         return PrefixCacheStats(
             hits=self.hits,
@@ -170,61 +197,41 @@ class PrefixCache:
             cached_blocks=self.num_blocks,
         )
 
-    def _group_key(self, request: "Request") -> Optional[int]:
-        """Root key of the request's sharing namespace (``None`` when absent)."""
-        return self._group_keys.get(request.prefix_group)
-
-    def _match_path(self, request: "Request", max_tokens: int) -> List[_PrefixNode]:
-        """Longest cached path covering the request's shareable prefix (possibly empty)."""
-        segments = request.prefix_segments
-        if not segments or max_tokens <= 0:
-            return []
-        memo_key = (request.request_id, max_tokens)
-        cached = self._match_memo.get(memo_key)
-        if cached is not None:
-            return cached
+    def _match_path(self, request: "Request", max_blocks: int) -> List[_PrefixNode]:
+        """Longest cached path along the request's key chain, at most ``max_blocks``."""
         path: List[_PrefixNode] = []
-        key = self._group_key(request)
-        if key is not None:
-            block_tokens = self.kv_cache.config.block_tokens
-            interned = self._interned
-            nodes = self._nodes
-            for content in _block_contents(segments, block_tokens,
-                                           max_tokens // block_tokens):
-                child_key = interned.get((key, content))
-                if child_key is None:
-                    break
-                node = nodes.get(child_key)
-                if node is None:
-                    break
-                path.append(node)
-                key = child_key
-        self._match_memo[memo_key] = path
+        nodes = self._nodes
+        for key in self._keys._chain(request)[:max(max_blocks, 0)]:
+            node = nodes.get(key)
+            if node is None:
+                break
+            path.append(node)
         return path
 
     def match_blocks(self, request: "Request", max_tokens: int) -> List[int]:
         """Physical blocks of the longest cached prefix, capped at ``max_tokens`` tokens.
 
-        Side-effect free (counters and LRU stamps move only on :meth:`commit_hit`), so
-        the admission loop, the fast-forward parked proofs and the cluster's
-        cache-affinity router can all probe it without perturbing the simulation.
+        The trie, counters and LRU stamps do not move (the key table may memoize the
+        stream's chain), so the admission loop, the fast-forward parked proofs and the
+        cluster's cache-affinity router can all probe it without perturbing the simulation.
         """
-        return [node.block for node in self._match_path(request, max_tokens)]
+        block_tokens = self._keys.block_tokens
+        return [node.block for node in self._match_path(request, max_tokens // block_tokens)]
 
     def match_tokens(self, request: "Request", max_tokens: int) -> int:
         """Tokens the cache could serve for ``request`` right now (router affinity probe)."""
-        return len(self._match_path(request, max_tokens)) * self.kv_cache.config.block_tokens
+        block_tokens = self._keys.block_tokens
+        return len(self._match_path(request, max_tokens // block_tokens)) * block_tokens
 
     # ------------------------------------------------------------------ mutation
     def commit_hit(self, request: "Request", num_blocks: int) -> None:
         """Record a fork-on-admit of ``num_blocks`` matched blocks; refresh their LRU."""
         self._tick += 1
         stamp = self._tick
-        for node in self._match_path(request, num_blocks
-                                     * self.kv_cache.config.block_tokens):
+        for node in self._match_path(request, num_blocks):
             node.stamp = stamp
         self.hits += 1
-        self.saved_tokens += num_blocks * self.kv_cache.config.block_tokens
+        self.saved_tokens += num_blocks * self._keys.block_tokens
 
     def record_miss(self) -> None:
         self.misses += 1
@@ -232,51 +239,33 @@ class PrefixCache:
     def insert(self, request: "Request", blocks: List[int]) -> int:
         """Publish a completed prefill's shareable prefix; returns newly cached blocks.
 
-        ``blocks`` is the prefilling sequence's block list; the first
-        ``shareable // block_tokens`` of them hold full blocks of shareable-prefix KV.
+        ``blocks`` is the prefilling sequence's block list; its leading blocks, one per
+        key of the request's chain (the full blocks of its shareable prefix), are published.
         New trie depth takes one pool reference per block; already-cached depth is left
         untouched (first writer wins — a concurrent duplicate prefill does not replace
         the published block) but has its LRU refreshed.
         """
-        segments = request.prefix_segments
-        if not segments:
-            return 0
-        shareable = sum(tokens for _, tokens in segments)
-        block_tokens = self.kv_cache.config.block_tokens
-        publish = min(shareable // block_tokens, len(blocks))
-        if publish <= 0:
+        chain = self._keys._chain(request)
+        if not chain or not blocks:
             return 0
         self._tick += 1
         stamp = self._tick
-        group = request.prefix_group
-        key = self._group_keys.get(group)
-        if key is None:
-            key = self._next_key
-            self._next_key += 1
-            self._group_keys[group] = key
         parent: Optional[_PrefixNode] = None
         added = 0
-        for i, content in enumerate(_block_contents(segments, block_tokens, publish)):
-            child_key = self._interned.get((key, content))
-            if child_key is None:
-                child_key = self._next_key
-                self._next_key += 1
-                self._interned[(key, content)] = child_key
-            node = self._nodes.get(child_key)
+        for key, block in zip(chain, blocks):
+            node = self._nodes.get(key)
             if node is None:
-                node = _PrefixNode(child_key, parent, blocks[i], depth=i, stamp=stamp)
-                self.kv_cache.retain_block(blocks[i])
-                self._nodes[child_key] = node
+                node = _PrefixNode(key, parent, block, stamp)
+                self.kv_cache.retain_block(block)
+                self._nodes[key] = node
                 if parent is not None:
                     parent.children += 1
                 added += 1
             else:
                 node.stamp = stamp
             parent = node
-            key = child_key
         if added:
             self.inserted_blocks += added
-            self._bump_version()
             if self._tracer is not None:
                 self._tracer.emit(
                     "cache_insert", self._trace_ts(), replica=self._trace_replica,
@@ -322,7 +311,6 @@ class PrefixCache:
             evicted += 1
         if evicted:
             self.evicted_blocks += evicted
-            self._bump_version()
             if self._tracer is not None:
                 self._tracer.emit(
                     "cache_evict", self._trace_ts(), replica=self._trace_replica,
@@ -350,18 +338,10 @@ class PrefixCache:
         kv = self.kv_cache
         for node in self._nodes.values():
             kv.release_block(node.block)
-        self._interned.clear()
         self._nodes.clear()
-        self._group_keys.clear()
-        self._next_key = 0
         self._tick = 0
-        self._bump_version()
         self.hits = 0
         self.misses = 0
         self.saved_tokens = 0
         self.inserted_blocks = 0
         self.evicted_blocks = 0
-
-    def _bump_version(self) -> None:
-        self._version += 1
-        self._match_memo.clear()

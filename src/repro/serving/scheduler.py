@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING
 from .engine import PrefillChunk, ServingEngine, peak_resident_tokens
 from .kvcache import KvCacheOutOfMemory, PagedKvCache, SequenceState
 from .metrics import SloReport, SloSpec, compute_slo_report
-from .prefixcache import PrefixCache
+from .prefixcache import PrefixCache, PrefixKeyTable
 from .policies import (
     PreemptionPolicy,
     SchedulingPolicy,
@@ -305,6 +305,11 @@ class ContinuousBatchingScheduler:
                 f"request {request.request_id}: prompt_tokens and output_tokens must be >= 1"
             )
         if request.prefix_segments:
+            try:
+                hash((request.prefix_group, request.prefix_segments))
+            except TypeError:
+                raise ValueError(f"request {request.request_id}: prefix_group and "
+                                 "prefix_segments must be hashable (tuples)") from None
             shareable = 0
             for _, seg_tokens in request.prefix_segments:
                 if seg_tokens < 1:
@@ -360,7 +365,7 @@ class ContinuousBatchingScheduler:
         return self.scheduling_policy.select_victim(candidates)
 
     # ------------------------------------------------------------------ steppable session
-    def begin(self, clock: float = 0.0) -> None:
+    def begin(self, clock: float = 0.0, prefix_keys: Optional[PrefixKeyTable] = None) -> None:
         """Start a fresh steppable session at virtual time ``clock``.
 
         Resets every piece of per-run scheduler state (queues, counters, peaks).  The KV
@@ -368,13 +373,15 @@ class ContinuousBatchingScheduler:
         are free to replace :attr:`kv_cache` before the first :meth:`submit`.  The prefix
         cache is rebuilt empty: its held blocks are released back to the pool it was
         bound to, so re-running the same trace can never warm-start from a previous
-        session's cache (A/B runs must not leak state).
+        session's cache (A/B runs must not leak state).  ``prefix_keys`` is the run's
+        shared prefix-key table (a cluster run hands one to every replica); by default
+        the cache builds its own.  It changes no result.
         """
         previous_cache = getattr(self, "prefix_cache", None)
         if previous_cache is not None:
             previous_cache.reset()
         self.prefix_cache: Optional[PrefixCache] = (
-            PrefixCache(self.kv_cache) if self.prefix_caching else None
+            PrefixCache(self.kv_cache, prefix_keys) if self.prefix_caching else None
         )
         tracer = getattr(self, "_tracer", None)
         if tracer is not None:

@@ -1,7 +1,9 @@
 """Tests for radix-tree prefix caching: the trie index itself (match / insert / LRU
-eviction / can_free), its fork-on-admit integration with the scheduler (saved prefill,
-hit-rate counters, eviction under KV pressure), swap-aware victim selection around
-shared blocks, the shared-prefix trace generators, and cache-affinity cluster routing."""
+eviction / can_free), the prefix-key table a cluster run shares across replicas, its
+fork-on-admit integration with the scheduler (saved prefill, hit-rate counters, eviction
+under KV pressure), input validation of prefix streams, swap-aware victim selection
+around shared blocks, the shared-prefix trace generators, and cache-affinity cluster
+routing."""
 
 import pytest
 
@@ -16,7 +18,8 @@ from repro.serving import (
     ServingEngine,
     get_model,
 )
-from repro.serving.prefixcache import _block_contents
+from repro.serving import prefixcache
+from repro.serving.prefixcache import PrefixKeyTable, _block_contents
 from repro.serving.systems import ClusterSpec
 from repro.workloads import (
     SHAREGPT_OUTPUTS,
@@ -153,6 +156,19 @@ class TestPrefixCacheIndex:
         assert len(cache.match_blocks(a, 64)) == 4
         assert len(cache.match_blocks(b, 64)) == 4
 
+    def test_match_follows_the_stream_not_the_request_id(self):
+        """Regression: a match memo keyed by request id served one stream's blocks to
+        another request that reused the id."""
+        kv = PagedKvCache(make_config())
+        cache = PrefixCache(kv)
+        published = Request(7, prompt_tokens=80, output_tokens=4,
+                            prefix_group=0, prefix_segments=((0, 64),))
+        state = publish(cache, kv, 0, published)
+        assert cache.match_blocks(published, 64) == state.blocks[:4]
+        other = Request(7, prompt_tokens=80, output_tokens=4,
+                        prefix_group=0, prefix_segments=((1, 64),))
+        assert cache.match_blocks(other, 64) == []
+
     def test_cache_survives_prefiller_completion(self):
         kv = PagedKvCache(make_config())
         cache = PrefixCache(kv)
@@ -160,6 +176,27 @@ class TestPrefixCacheIndex:
         kv.free_sequence(0)
         assert all(kv.block_ref_count(b) == 1 for b in state.blocks[:4])
         assert len(cache.match_blocks(shared_request(1, shared=64), 64)) == 4
+
+
+class TestSharedKeyTable:
+    def test_caches_sharing_a_table_keep_separate_tries(self):
+        keys = PrefixKeyTable(16)
+        kv_a, kv_b = PagedKvCache(make_config()), PagedKvCache(make_config())
+        cache_a, cache_b = PrefixCache(kv_a, keys), PrefixCache(kv_b, keys)
+        probe = shared_request(9, shared=64)
+        state_a = publish(cache_a, kv_a, 0, shared_request(0, shared=64))
+        assert cache_a.match_blocks(probe, 64) == state_a.blocks[:4]
+        assert cache_b.match_blocks(probe, 64) == []  # published on A only
+        state_b = publish(cache_b, kv_b, 0, shared_request(1, shared=64))
+        kv_a.free_sequence(0)
+        assert cache_a.evict(4) == 4
+        assert cache_a.match_blocks(probe, 64) == []
+        assert cache_b.match_blocks(probe, 64) == state_b.blocks[:4]  # B's trie intact
+        assert cache_b.num_blocks == 4 and cache_b.stats().evicted_blocks == 0
+
+    def test_table_for_another_block_size_is_rejected(self):
+        with pytest.raises(ValueError, match="32-token blocks"):
+            PrefixCache(PagedKvCache(make_config(block_tokens=16)), PrefixKeyTable(32))
 
 
 class TestLruEviction:
@@ -318,6 +355,107 @@ class TestSchedulerIntegration:
         hits = [c for c in cached if c > 0]
         assert hits and all(c % 16 == 0 for c in cached)  # block-granular
         assert all(c <= 512 for c in cached)              # never beyond the template
+
+
+def tenant_mix_cluster(engine):
+    """Four colocated replicas behind the cache-affinity router, 2 GiB KV pools."""
+    return ServingCluster(
+        spec=ClusterSpec(mode="colocated", num_replicas=4, router="cache-affinity"),
+        kv_budget_bytes=2 * 2**30,
+        preemption_policy="hybrid",
+        prefix_caching=True,
+        engine=engine,
+    )
+
+
+def test_cluster_run_walks_each_prefix_stream_once(engine, monkeypatch):
+    """One key table serves every replica of a run: each distinct prefix stream's block
+    contents are walked once, however many replicas the router probes (the per-replica
+    walk took 288 walks here), and the simulated outcome is unchanged."""
+    walks = []
+    block_contents = prefixcache._block_contents
+
+    def counting(*args, **kwargs):
+        walks.append(args[0])
+        return block_contents(*args, **kwargs)
+
+    monkeypatch.setattr(prefixcache, "_block_contents", counting)
+    trace = tenant_mix_trace(30, 3.0, seed=0)
+    streams = {(r.prefix_group, r.prefix_segments) for r in trace}
+    result = tenant_mix_cluster(engine).run(trace)
+    assert len(walks) == len(streams) == 38
+    # Goldens recorded from the per-replica walk: sharing the table moves no number.
+    assert result.simulated_time_s == 40.361296461177126
+    assert result.generated_tokens == 14221
+    assert [
+        (s.num_iterations, s.prefix_cache_hits, s.prefix_blocks_inserted,
+         s.prefix_blocks_evicted)
+        for s in result.replica_stats
+    ] == [(6121, 52, 598, 111), (1822, 12, 128, 0), (1151, 11, 64, 0), (0, 0, 0, 0)]
+
+
+#: Prefix streams that cannot key the shared table: a list of segments, a list segment,
+#: and an unhashable group.
+UNHASHABLE_STREAMS = [
+    (0, [(0, 64)]),
+    (0, ((0, 32), [1, 32])),
+    ([0], ((0, 64),)),
+]
+
+
+def unhashable_request(request_id, stream):
+    group, segments = stream
+    request = Request(request_id, prompt_tokens=80, output_tokens=8,
+                      prefix_group=group, prefix_segments=segments)
+    request.generated = 3  # scheduler-owned: a reset on entry would zero it
+    return request
+
+
+class TestUnhashableStreamsRejected:
+    """Each entry point names the request and raises before any state changes."""
+
+    @pytest.mark.parametrize("stream", UNHASHABLE_STREAMS)
+    def test_scheduler_run(self, engine, stream):
+        scheduler = ContinuousBatchingScheduler(engine, prefix_caching=True)
+        trace = rag_trace(4, 10.0, template_tokens=64, num_templates=1, seed=0)
+        before = scheduler.run(trace)
+        bad = unhashable_request(99, stream)
+        with pytest.raises(ValueError, match="request 99: .*hashable"):
+            scheduler.run(trace + [bad])
+        after = scheduler.stats()
+        assert after.completed_requests == before.completed_requests == len(trace)
+        assert after.simulated_time_s == before.simulated_time_s
+        assert bad.generated == 3
+
+    @pytest.mark.parametrize("stream", UNHASHABLE_STREAMS)
+    def test_scheduler_submit(self, engine, stream):
+        scheduler = ContinuousBatchingScheduler(engine, prefix_caching=True)
+        scheduler.submit(shared_request(0))
+        bad = unhashable_request(99, stream)
+        with pytest.raises(ValueError, match="request 99: .*hashable"):
+            scheduler.submit(bad)
+        assert scheduler.queue_depth == 1
+        assert scheduler.outstanding_tokens == shared_request(0).remaining_tokens()
+        assert bad.generated == 3
+
+    @pytest.mark.parametrize("stream", UNHASHABLE_STREAMS)
+    def test_cluster_run(self, engine, stream):
+        cluster = ServingCluster(
+            spec=ClusterSpec(mode="colocated", num_replicas=2, router="cache-affinity"),
+            prefix_caching=True,
+            engine=engine,
+        )
+        trace = rag_trace(4, 10.0, template_tokens=64, num_templates=1, seed=0)
+        cluster.run(trace)
+        before = [r.scheduler.stats() for r in cluster.replicas]
+        bad = unhashable_request(99, stream)
+        with pytest.raises(ValueError, match="request 99: .*hashable"):
+            cluster.run(trace + [bad])
+        after = [r.scheduler.stats() for r in cluster.replicas]
+        assert [s.completed_requests for s in after] == [s.completed_requests for s in before]
+        assert [s.simulated_time_s for s in after] == [s.simulated_time_s for s in before]
+        assert sum(s.completed_requests for s in after) == len(trace)
+        assert bad.generated == 3
 
 
 class TestSwapVictimSelection:

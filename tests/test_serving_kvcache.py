@@ -14,6 +14,7 @@ from repro.serving import (
     Request,
     get_model,
 )
+from repro.serving.prefixcache import _block_contents
 
 
 def make_config(budget_mb=64, kv_format="int8", block_tokens=16, model="llama2-7b",
@@ -584,6 +585,27 @@ class KvForkSwapMachine(RuleBasedStateMachine):
 TestKvForkSwapStateMachine = KvForkSwapMachine.TestCase
 
 
+#: Shareable prefix streams: 1-3 segments from a small alphabet of ids and lengths, the
+#: lengths crossing 16-token block boundaries, so two streams often agree for a few blocks
+#: and then diverge mid-block or mid-chain.
+PREFIX_STREAMS = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=1), st.sampled_from((6, 16, 26, 40))),
+    min_size=1, max_size=3,
+).map(tuple)
+
+
+def _clip(segments, limit):
+    """The leading ``limit`` tokens of a segment stream."""
+    clipped = []
+    for seg_id, tokens in segments:
+        take = min(tokens, limit)
+        if take <= 0:
+            break
+        clipped.append((seg_id, take))
+        limit -= take
+    return tuple(clipped)
+
+
 class KvPrefixCacheMachine(KvForkSwapMachine):
     """Adds a prefix cache to the fork/swap machine: insert / hit / evict racing live growth.
 
@@ -594,24 +616,52 @@ class KvPrefixCacheMachine(KvForkSwapMachine):
     exactly when eviction then frees a block and otherwise eviction leaves the trie
     untouched (the fast-forward parked proofs depend on that), and
     a cached block can never be freed out from under the trie by a live sequence's
-    truncate/free/swap.
+    truncate/free/swap.  Every match is checked against a reference walk that recomputes
+    block contents on each probe and interns them in a private dict, and the trie must
+    stay prefix-closed.
     """
 
     def __init__(self):
         super().__init__()
         self.prefix = PrefixCache(self.cache)
         self.next_request = 0
+        # Reference index: (parent ref key, block content) -> ref key, a group's root
+        # under (None, group); and ref key -> the trie node published at that position.
+        self.ref_keys = {}
+        self.ref_nodes = {}
 
-    def _request(self, shared, group):
+    def _request(self, segments, group):
         req = Request(
             self.next_request,
-            prompt_tokens=shared + 8,
+            prompt_tokens=sum(tokens for _, tokens in segments) + 8,
             output_tokens=4,
             prefix_group=group,
-            prefix_segments=((0, shared),),
+            prefix_segments=segments,
         )
         self.next_request += 1
         return req
+
+    def _reference_chain(self, req, max_blocks):
+        """Reference keys of the request's first ``max_blocks`` full blocks, recomputed
+        from ``_block_contents`` on every call."""
+        keys = self.ref_keys
+        key = keys.setdefault((None, req.prefix_group), len(keys))
+        chain = []
+        for content in _block_contents(req.prefix_segments, self.config.block_tokens,
+                                       max_blocks):
+            key = keys.setdefault((key, content), len(keys))
+            chain.append(key)
+        return chain
+
+    def _reference_match(self, req, max_tokens):
+        """Blocks of the longest published prefix still in the trie, by the reference walk."""
+        blocks = []
+        for key in self._reference_chain(req, max_tokens // self.config.block_tokens):
+            node = self.ref_nodes.get(key)
+            if node is None or self.prefix._nodes.get(node.key) is not node:
+                break
+            blocks.append(node.block)
+        return blocks
 
     def _any_shared(self, seq_id):
         if super()._any_shared(seq_id):
@@ -620,20 +670,41 @@ class KvPrefixCacheMachine(KvForkSwapMachine):
         return any(b in cached for b in self.cache.sequence(seq_id).blocks)
 
     @precondition(lambda self: self.resident)
-    @rule(data=st.data(), group=st.integers(min_value=0, max_value=2))
-    def publish(self, data, group):
+    @rule(data=st.data(), group=st.integers(min_value=0, max_value=1),
+          segments=PREFIX_STREAMS)
+    def publish(self, data, group, segments):
         seq_id = data.draw(st.sampled_from(sorted(self.resident)))
         state = self.cache.sequence(seq_id)
-        req = self._request(self.resident[seq_id], group)
-        before = self.prefix.num_blocks
+        req = self._request(_clip(segments, self.resident[seq_id]), group)
+        shareable = req.shareable_prefix_tokens
+        prior = self._reference_match(req, shareable)
+        depth = len(prior)
+        before = {id(node) for node in self.prefix._nodes.values()}
         added = self.prefix.insert(req, state.blocks)
-        assert self.prefix.num_blocks == before + added
+        # The uncached tail of the stream's chain is published, shallowest first.
+        new = [node for node in self.prefix._nodes.values() if id(node) not in before]
+        chain = self._reference_chain(req, shareable // self.config.block_tokens)
+        assert added == len(new) == len(chain) - depth
+        for i, (key, node) in enumerate(zip(chain[depth:], new), start=depth):
+            assert node.block == state.blocks[i]
+            self.ref_nodes[key] = node
+        # Already-cached depth keeps its first writer's blocks.
+        assert self.prefix.match_blocks(req, shareable) == prior + state.blocks[depth:len(chain)]
 
-    @rule(group=st.integers(min_value=0, max_value=2),
-          span=st.integers(min_value=0, max_value=128))
-    def hit(self, group, span):
-        req = self._request(span, group)
-        blocks = self.prefix.match_blocks(req, span)
+    @rule(group=st.integers(min_value=0, max_value=1), segments=PREFIX_STREAMS,
+          cap=st.integers(min_value=0, max_value=128))
+    def match_agrees_with_reference_walk(self, group, segments, cap):
+        req = self._request(segments, group)
+        blocks = self.prefix.match_blocks(req, cap)
+        assert blocks == self._reference_match(req, cap)
+        assert self.prefix.match_tokens(req, cap) == len(blocks) * self.config.block_tokens
+
+    @rule(group=st.integers(min_value=0, max_value=1), segments=PREFIX_STREAMS,
+          cap=st.integers(min_value=0, max_value=128))
+    def hit(self, group, segments, cap):
+        req = self._request(segments, group)
+        blocks = self.prefix.match_blocks(req, cap)
+        assert blocks == self._reference_match(req, cap)
         if not blocks:
             self.prefix.record_miss()
             return
@@ -657,6 +728,12 @@ class KvPrefixCacheMachine(KvForkSwapMachine):
         assert (freed >= 1) == could
         if not could:
             assert self.prefix._nodes == nodes_before
+
+    @invariant()
+    def trie_is_prefix_closed(self):
+        nodes = self.prefix._nodes
+        for node in nodes.values():
+            assert node.parent is None or nodes.get(node.parent.key) is node.parent
 
     @invariant()
     def refcounts_match_resident_references(self):
