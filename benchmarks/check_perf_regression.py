@@ -4,8 +4,7 @@
 Compares the fast-mode harness throughputs from a just-produced
 ``BENCH_scheduler.fast.json`` against the checked-in baselines
 (``benchmarks/perf_baseline.json``) and fails when a gated section drops below
-``min_fraction`` of its baseline.  Two sections are gated, covering both halves of the
-fast-forward machinery:
+``min_fraction`` of its baseline.  Four sections are gated:
 
 * ``trace_simulation`` — the decode-dominated path (analytic decode jumps);
 * ``mixed_phase`` — the KV-constrained prefill-heavy path (pinned mixed-epoch jumps),

@@ -57,9 +57,11 @@ def test_table1_peak_throughput(benchmark, emit):
     assert table["mixtral-8x7b"]["trt-fp16"].oom
     assert table["mixtral-8x7b"]["trt-w8a8"].oom
     # The GEMM kernel's own contribution (LiquidServe vs LiquidServe/wo), paper: 1.13-1.98x.
-    for model in ("llama2-70b", "yi-34b", "mixtral-8x7b"):
+    # Prefill and decode are both priced under each system's own GEMM kernel, so the
+    # kernel's margin holds on every model.
+    for model in MODELS:
         ratio = (
             table[model]["liquidserve"].peak_throughput
             / table[model]["liquidserve-wo"].peak_throughput
         )
-        assert ratio > 1.05
+        assert ratio >= 1.13, model

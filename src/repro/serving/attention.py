@@ -1,4 +1,4 @@
-"""Decode-time attention cost model (FlashAttention-2 style, Section 6).
+"""Per-layer attention cost model (FlashAttention-2 style, Section 6).
 
 During decoding each new token attends over the whole KV cache, so attention is overwhelmingly
 memory-bound: the dominant cost is streaming ``batch x context_length x 2 x kv_dim`` cached
@@ -7,16 +7,19 @@ K/V elements from HBM, followed by a comparatively small amount of Tensor-Core w
 KV-cache precision (FP8 / INT8 / INT4) and the attention kernel's sustained bandwidth are what
 differentiate the serving systems in Figures 4 and 10.
 
-Three cost entry points are provided:
+Two cost forms are provided, the two :meth:`~repro.serving.engine.ServingEngine.iteration_time`
+prices every iteration with:
 
-* :func:`decode_attention_cost` — a uniform batch at a single context length (the Table 1 /
-  Figure 4 fixed-batch quantity);
-* :func:`ragged_decode_attention_cost` — one decode step over a *ragged* batch, charging each
-  sequence its own context length (what an iteration-level scheduler produces);
+* :func:`decode_attention_cost_from_totals` — one decode step over a batch, given its size
+  and its *summed* cached context.  Every term is linear per sequence, so a ragged batch
+  costs what its totals say, and a uniform batch of ``B`` sequences at context ``c`` is the
+  call at ``(B, B * c)`` (the Table 1 / Figure 4 fixed-batch quantity);
 * :func:`chunked_prefill_attention_cost` — one prefill chunk attending causally over the
-  already-cached prefix plus itself (Sarathi-style chunked prefill).
+  already-cached prefix plus itself (Sarathi-style chunked prefill).  A whole prompt is the
+  chunk at ``context_start=0``.  The cached prefix may be a scalar (one chunk) or an int64
+  array (one chunk size priced at many prefix lengths, elementwise).
 
-All of them accept a ``tp_degree``: with Megatron-style tensor parallelism the query heads are
+Both accept a ``tp_degree``: with Megatron-style tensor parallelism the query heads are
 split ``tp_degree`` ways and the KV heads are split (or replicated, for GQA models with fewer
 KV heads than GPUs), so each GPU streams and computes only its shard.  The costs returned are
 *per GPU* — the group runs in lockstep, so the per-GPU time is the step time.
@@ -25,7 +28,7 @@ KV heads than GPUs), so each GPU streams and computes only its shard.  The costs
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -34,18 +37,18 @@ from .models import ModelConfig
 
 __all__ = [
     "AttentionCost",
-    "decode_attention_cost",
     "decode_attention_cost_from_totals",
-    "ragged_decode_attention_cost",
     "chunked_prefill_attention_cost",
-    "chunked_prefill_attention_times",
-    "prefill_attention_cost",
 ]
 
 
 @dataclass(frozen=True)
 class AttentionCost:
-    """Per-layer attention cost decomposition (seconds)."""
+    """Per-layer attention cost decomposition (seconds).
+
+    The terms are floats, or float64 arrays when the chunk form is priced over an array of
+    cached-prefix lengths; :attr:`total` then sums elementwise.
+    """
 
     kv_read: float
     kv_write: float
@@ -83,9 +86,15 @@ def decode_attention_cost_from_totals(
     """Closed-form decode attention cost given a batch size and *summed* context length.
 
     Every term of the ragged decode model is linear per sequence, so one layer's cost is a
-    function of ``(batch_size, sum(context_lengths))`` alone.  This is the form the serving
-    engine memoizes and vectorizes for fast-forward simulation; it performs the exact
-    floating-point operations of :func:`ragged_decode_attention_cost`, which delegates here.
+    function of ``(batch_size, sum(context_lengths))`` alone; a uniform batch at context
+    ``c`` is ``total_context = batch_size * c``.  The serving engine hoists this function's
+    scalar sub-expressions and evaluates them in the same operand order, so its memoized and
+    vectorized decode attention equals this call bit for bit.
+
+    ``attention_efficiency`` scales the *whole* kernel (bandwidth and compute alike) and is the
+    knob that distinguishes the systems' attention implementations (e.g. TRT-FP8's
+    FP8-optimized attention vs. QServe's kernels on GQA models); see
+    :mod:`repro.serving.systems` for the calibrated per-system values.
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
@@ -116,74 +125,11 @@ def decode_attention_cost_from_totals(
     )
 
 
-def ragged_decode_attention_cost(
-    model: ModelConfig,
-    gpu: GpuSpec,
-    context_lengths: Sequence[int],
-    kv_bytes_per_element: float,
-    bandwidth_efficiency: float = 0.85,
-    attention_efficiency: float = 1.0,
-    tp_degree: int = 1,
-) -> AttentionCost:
-    """Cost of one decode-step attention call for one layer over a ragged batch.
-
-    Every sequence is charged for streaming exactly its own cached context — the quantity a
-    uniform-batch model overstates by billing all sequences at the batch maximum.  All terms
-    are linear per sequence, so the uniform :func:`decode_attention_cost` is the special case
-    of equal ``context_lengths``; ``context_lengths`` may be any integer sequence, including
-    a NumPy array (the sum is taken as an exact integer reduction either way).
-    """
-    if len(context_lengths) == 0:
-        raise ValueError("context_lengths must be non-empty")
-    if min(context_lengths) <= 0:
-        raise ValueError("context lengths must be positive")
-    return decode_attention_cost_from_totals(
-        model,
-        gpu,
-        len(context_lengths),
-        float(sum(context_lengths)),
-        kv_bytes_per_element,
-        bandwidth_efficiency=bandwidth_efficiency,
-        attention_efficiency=attention_efficiency,
-        tp_degree=tp_degree,
-    )
-
-
-def decode_attention_cost(
-    model: ModelConfig,
-    gpu: GpuSpec,
-    batch_size: int,
-    context_length: int,
-    kv_bytes_per_element: float,
-    bandwidth_efficiency: float = 0.85,
-    attention_efficiency: float = 1.0,
-    tp_degree: int = 1,
-) -> AttentionCost:
-    """Cost of one decode-step attention call for one layer (uniform batch).
-
-    ``attention_efficiency`` scales the *whole* kernel (bandwidth and compute alike) and is the
-    knob that distinguishes the systems' attention implementations (e.g. TRT-FP8's
-    FP8-optimized attention vs. QServe's kernels on GQA models); see
-    :mod:`repro.serving.systems` for the calibrated per-system values.
-    """
-    if batch_size <= 0 or context_length <= 0:
-        raise ValueError("batch_size and context_length must be positive")
-    return ragged_decode_attention_cost(
-        model,
-        gpu,
-        [context_length] * batch_size,
-        kv_bytes_per_element,
-        bandwidth_efficiency=bandwidth_efficiency,
-        attention_efficiency=attention_efficiency,
-        tp_degree=tp_degree,
-    )
-
-
 def chunked_prefill_attention_cost(
     model: ModelConfig,
     gpu: GpuSpec,
     chunk_tokens: int,
-    context_start: int,
+    context_start: Union[int, np.ndarray],
     kv_bytes_per_element: float,
     bandwidth_efficiency: float = 0.85,
     attention_efficiency: float = 1.0,
@@ -194,11 +140,19 @@ def chunked_prefill_attention_cost(
     The chunk's ``chunk_tokens`` queries attend causally over the ``context_start`` tokens
     already resident in the paged KV cache plus the causal prefix inside the chunk itself.
     The cached prefix is streamed from HBM (at KV-cache precision); the chunk's own K/V is
-    produced on the fly and written back once.
+    produced on the fly and written back once.  A whole prompt is the chunk at
+    ``context_start=0``: its attention is quadratic in the prompt length.
+
+    An int ``context_start`` prices one chunk in plain Python arithmetic.  An int64 array
+    prices the same chunk size at many cached-prefix lengths — the shape of a pinned
+    fast-forward epoch, where a prefill advances by one chunk per iteration — and every term
+    is then an array.  Both run the same operations in the same order, so each element
+    equals the scalar call at that prefix length bit for bit.
     """
     if chunk_tokens <= 0:
         raise ValueError("chunk_tokens must be positive")
-    if context_start < 0:
+    lowest = context_start.min() if isinstance(context_start, np.ndarray) else context_start
+    if lowest < 0:
         raise ValueError("context_start must be non-negative")
     _check_efficiency(attention_efficiency)
 
@@ -223,77 +177,3 @@ def chunked_prefill_attention_cost(
         compute=compute,
         overhead=_ATTENTION_LAUNCH_OVERHEAD_S,
     )
-
-
-def chunked_prefill_attention_times(
-    model: ModelConfig,
-    gpu: GpuSpec,
-    chunk_tokens: int,
-    context_starts: Union[Sequence[int], np.ndarray],
-    kv_bytes_per_element: float,
-    bandwidth_efficiency: float = 0.85,
-    attention_efficiency: float = 1.0,
-    tp_degree: int = 1,
-) -> np.ndarray:
-    """Vectorized :func:`chunked_prefill_attention_cost` totals over cached-prefix lengths.
-
-    One fixed-size chunk of a longer prompt priced at many ``context_start`` values in a
-    single NumPy evaluation — the shape a pinned mixed prefill+decode epoch produces, where
-    the same request prefills one ``chunk_tokens`` chunk per iteration on a prefix that
-    grows by ``chunk_tokens`` each time.  Every term is linear in ``context_start`` and
-    every operation mirrors the scalar function's operand order elementwise, so each
-    element is bit-identical to ``chunked_prefill_attention_cost(...).total`` at that
-    prefix length (the property the fast-forward equivalence suite pins).
-    """
-    if chunk_tokens <= 0:
-        raise ValueError("chunk_tokens must be positive")
-    starts = np.asarray(context_starts, dtype=np.int64)
-    if starts.size and int(starts.min()) < 0:
-        raise ValueError("context_start must be non-negative")
-    _check_efficiency(attention_efficiency)
-
-    kv_dim = model.kv_dim_per_gpu(tp_degree)
-    heads = model.heads_per_gpu(tp_degree)
-    effective_bw = gpu.memory_bandwidth * bandwidth_efficiency * attention_efficiency
-
-    attended = chunk_tokens * starts + chunk_tokens * (chunk_tokens + 1) / 2.0
-
-    kv_read = 2.0 * starts * kv_dim * kv_bytes_per_element / effective_bw
-    kv_write = 2.0 * chunk_tokens * kv_dim * kv_bytes_per_element / effective_bw
-
-    flops = 8.0 * attended * heads * model.head_dim
-    compute = flops / (
-        gpu.tensor_core_throughput(_tensor_precision(gpu)) * 0.6 * attention_efficiency
-    )
-    return kv_read + kv_write + compute + _ATTENTION_LAUNCH_OVERHEAD_S
-
-
-def prefill_attention_cost(
-    model: ModelConfig,
-    gpu: GpuSpec,
-    batch_size: int,
-    prompt_length: int,
-    bandwidth_efficiency: float = 0.85,
-    attention_efficiency: float = 1.0,
-    tp_degree: int = 1,
-) -> AttentionCost:
-    """Cost of one prefill attention call for one layer (causal, compute-bound).
-
-    Prefill attention is quadratic in the prompt length but runs on Tensor Cores at high
-    utilization; the KV cache is written once.  The serving engine uses this only to estimate
-    the (amortized) prefill contribution to end-to-end throughput.
-    """
-    if batch_size <= 0 or prompt_length <= 0:
-        raise ValueError("batch_size and prompt_length must be positive")
-    _check_efficiency(attention_efficiency)
-    heads = model.heads_per_gpu(tp_degree)
-    kv_dim = model.kv_dim_per_gpu(tp_degree)
-    flops = 4.0 * batch_size * prompt_length * prompt_length * heads * model.head_dim / 2.0
-    compute = flops / (
-        gpu.tensor_core_throughput(_tensor_precision(gpu)) * 0.6 * attention_efficiency
-    )
-    kv_write = 2.0 * batch_size * prompt_length * kv_dim * 2.0 / (
-        gpu.memory_bandwidth * bandwidth_efficiency
-    )
-    return AttentionCost(kv_read=0.0, kv_write=kv_write, compute=compute,
-                         overhead=_ATTENTION_LAUNCH_OVERHEAD_S)

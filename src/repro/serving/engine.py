@@ -6,22 +6,25 @@ quantization/kernel core exclusively through the unified backend layer
 
 * per-layer GEMM latency from the backend's resolved kernel cost parameters on the layer
   shapes of :mod:`repro.workloads.shapes` — MoE layers become grouped per-expert GEMMs;
-* attention cost from the memory-bound decode model (:mod:`repro.serving.attention`) with the
-  backend's KV-cache bytes-per-element and attention efficiency;
+* attention cost from the decode and chunked-prefill forms of :mod:`repro.serving.attention`
+  with the backend's KV-cache bytes-per-element and attention efficiency;
 * an "Others" bucket (element-wise kernels: layer norms, rotary embedding, residuals, SwiGLU
   activation, dynamic activation quantization) plus per-layer framework overhead;
 * KV-cache capacity from the paged allocator (:mod:`repro.serving.kvcache`) under the GPU
   memory budget, which bounds the usable batch size.
 
-Two families of entry points are exposed:
+One cost core prices every forward pass, in the request-level simulation and in the
+paper's fixed-batch figures alike: ``iteration_time`` charges one iteration — decode tokens
+over their summed cached context plus prefill chunks over their cached prefixes — or,
+elementwise, a whole run of them.  The scheduler charges its iterations through it
+(``mixed_step_time`` is its wrapper over per-sequence contexts and :class:`PrefillChunk`
+objects), and the fixed-batch API is a set of thin wrappers over it:
 
-* the **uniform-batch** analytical API (``decode_step_time``, ``prefill_time``,
-  ``throughput``, ``peak_throughput``) that reproduces the paper's fixed-batch numbers, and
-* the **ragged-batch** step cost consumed by the request-level scheduler simulation:
-  ``iteration_time`` prices one mixed iteration — decode tokens over per-sequence contexts
-  plus chunked prefill tokens in a single forward pass — or, elementwise, a whole run of
-  them; ``mixed_step_time`` is its wrapper over per-sequence contexts and
-  :class:`PrefillChunk` objects.
+* ``decode_step_time(B, c)`` is one decode iteration of ``B`` sequences at context ``c``;
+* ``prefill_time(B, L)`` is one iteration of ``B`` whole ``L``-token prompts, so the prefill
+  GEMMs run under the system's own kernel; ``recompute_time(n)`` is ``prefill_time(1, n)``;
+* ``throughput`` and ``peak_throughput`` (Table 1, Figure 11) are closed forms over those
+  two.
 
 Tensor parallelism (``tp_degree``) is threaded through everything: GEMM shapes, attention,
 weight memory and the KV budget are one GPU's Megatron-style shard, and every layer pays two
@@ -45,9 +48,7 @@ from .attention import (
     _ATTENTION_LAUNCH_OVERHEAD_S,
     _tensor_precision,
     chunked_prefill_attention_cost,
-    chunked_prefill_attention_times,
-    decode_attention_cost,
-    prefill_attention_cost,
+    decode_attention_cost_from_totals,
 )
 from .kvcache import KvCacheConfig, PagedKvCache
 from .models import ModelConfig, get_model
@@ -364,7 +365,14 @@ class ServingEngine:
         """Estimated cost of rebuilding ``num_tokens`` of KV state by re-prefilling.
 
         This is what a recompute preemption pays when the victim resumes; the cost-based
-        preemption policy compares it against the swap round trip.
+        preemption policy compares it against the swap round trip.  It is
+        ``prefill_time(1, num_tokens)``: one :meth:`iteration_time` of the whole context
+        as one chunk, under the system's own GEMM kernel.
+
+        A gap remains: ``step()`` re-prefills in ``prefill_chunk_tokens`` chunks beside
+        the running decodes, and each chunk pays the weights' streaming again.  On
+        LiquidServe/llama2-7b, 1,024 tokens cost 10.75 ms as one chunk and 13.40 ms as
+        four 256-token chunks priced alone, so this estimate stays on the low side.
         """
         if num_tokens <= 0:
             return 0.0
@@ -407,16 +415,16 @@ class ServingEngine:
         return total
 
     def layer_attention_time(self, batch_size: int, context_length: int) -> float:
-        cost = decode_attention_cost(
+        """Per-layer decode attention of a uniform batch: the decode form at ``(B, B*c)``."""
+        return decode_attention_cost_from_totals(
             self.model,
             self.device.spec,
             batch_size,
-            context_length,
-            self.backend.kv_bytes_per_element,
+            batch_size * context_length,
+            self._attn_kv_bytes,
             attention_efficiency=self.backend.attention_efficiency,
             tp_degree=self.tp_degree,
-        )
-        return cost.total
+        ).total
 
     def layer_others_time(self, num_tokens: int) -> float:
         cached = self._others_time_cache.get(num_tokens)
@@ -456,9 +464,15 @@ class ServingEngine:
         return total
 
     def decode_step_time(self, batch_size: int, context_length: int) -> float:
-        """Latency of generating one token for every sequence in a uniform batch."""
-        per_layer = self.layer_breakdown(batch_size, context_length).total
-        return per_layer * self.model.num_layers + self.lm_head_time(batch_size)
+        """Latency of generating one token for every sequence in a uniform batch.
+
+        One :meth:`iteration_time` of ``batch_size`` decode tokens at ``batch_size *
+        context_length`` summed context.  It equals the per-layer :meth:`layer_breakdown`
+        total times the layer count plus the LM head bit for bit.
+        """
+        if batch_size <= 0 or context_length <= 0:
+            raise ValueError("batch_size and context_length must be positive")
+        return self.iteration_time(batch_size, batch_size * context_length, (), batch_size)
 
     def mixed_step_time(
         self,
@@ -540,28 +554,19 @@ class ServingEngine:
             attention = kv_read + kv_write + compute + _ATTENTION_LAUNCH_OVERHEAD_S
         cache = self._chunk_attention_cache
         for chunk_key in chunks:
-            if isinstance(chunk_key[1], np.ndarray):
-                chunk_attention = chunked_prefill_attention_times(
+            array = isinstance(chunk_key[1], np.ndarray)
+            chunk_attention = None if array else cache.get(chunk_key)
+            if chunk_attention is None:
+                chunk_attention = chunked_prefill_attention_cost(
                     self.model,
                     self.device.spec,
                     chunk_key[0],
                     chunk_key[1],
-                    self.backend.kv_bytes_per_element,
+                    self._attn_kv_bytes,
                     attention_efficiency=self.backend.attention_efficiency,
                     tp_degree=self.tp_degree,
-                )
-            else:
-                chunk_attention = cache.get(chunk_key)
-                if chunk_attention is None:
-                    chunk_attention = chunked_prefill_attention_cost(
-                        self.model,
-                        self.device.spec,
-                        chunk_key[0],
-                        chunk_key[1],
-                        self.backend.kv_bytes_per_element,
-                        attention_efficiency=self.backend.attention_efficiency,
-                        tp_degree=self.tp_degree,
-                    ).total
+                ).total
+                if not array:
                     cache[chunk_key] = chunk_attention
             attention = attention + chunk_attention
 
@@ -569,26 +574,14 @@ class ServingEngine:
         return per_layer * self.model.num_layers + lm_head
 
     def prefill_time(self, batch_size: int, prompt_length: int) -> float:
-        """Approximate prompt-processing time for a batch of requests.
+        """Prompt-processing time of a batch of ``batch_size`` ``prompt_length``-token prompts.
 
-        Prefill GEMMs are compute-bound; we charge one GPU's share of the model's full
-        forward FLOPs at a sustained fraction of the Tensor-Core peak, plus the quadratic
-        attention term and the per-layer tensor-parallel all-reduces.
+        One :meth:`iteration_time` with every prompt as one whole chunk at
+        ``context_start=0``: the layer GEMMs see ``batch_size * prompt_length`` tokens under
+        the system's own kernel, attention is each prompt's causal (quadratic) chunk form,
+        and each prompt's last position runs the LM head.
         """
-        flops = 2.0 * batch_size * prompt_length * self.model.active_params_per_token() / self.tp_degree
-        mma_precision = self.backend.mma_precision
-        peak = self.device.spec.tensor_core_throughput(mma_precision)
-        gemm = flops / (peak * 0.75)
-        attention = (
-            prefill_attention_cost(
-                self.model, self.device.spec, batch_size, prompt_length,
-                attention_efficiency=self.backend.attention_efficiency,
-                tp_degree=self.tp_degree,
-            ).total
-            * self.model.num_layers
-        )
-        comm = 2.0 * self.allreduce_time(batch_size * prompt_length) * self.model.num_layers
-        return gemm + attention + comm
+        return self.iteration_time(0, 0, [(prompt_length, 0)] * batch_size, batch_size)
 
     # ------------------------------------------------------------------ throughput
     def throughput(self, batch_size: int, input_len: int = 1024, output_len: int = 512

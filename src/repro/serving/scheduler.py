@@ -1011,7 +1011,9 @@ class ContinuousBatchingScheduler:
         self._next_sample_s = self._clock + tracer.sample_interval_s
 
     # ------------------------------------------------------------------ fast-forward
-    def _queues_parked(self, budget_left: int) -> bool:
+    def _queues_parked(
+        self, budget_left: int, takes: Sequence[Tuple[Request, SequenceState, int]]
+    ) -> bool:
         """True when no queued request can enter the batch now — nor at any later
         iteration of a fast-forward epoch.
 
@@ -1023,11 +1025,18 @@ class ContinuousBatchingScheduler:
         "blocked for the whole epoch".  Per queue, mirroring :meth:`step`:
 
         * an imported sequence lands once its KV blocks fit;
-        * a swapped-out sequence is compared against the swap-in headroom *floor* —
-          one slot block per running sequence.  The scan's real headroom also reserves
-          each resident prefill's next chunk and never drops below the floor, so a
-          candidate blocked at the floor stays blocked (one that is not is answered
-          with "not parked": a conservative miss when prefills are resident);
+        * a swapped-out sequence is compared against a *floor* of the headroom
+          ``step()``'s swap-in scan reserves: one slot block per running sequence plus
+          ``t // block_tokens`` per resident prefill, where ``t`` is the chunk the epoch
+          schedules for it (``takes``), or ``min(remaining, prefill_chunk_tokens)`` for
+          one it does not schedule.  The scan reserves ``blocks_needed_to_extend(r, t')``
+          with ``t' = min(remaining, prefill_chunk_tokens)``.  The pool keeps every
+          sequence at exactly ``ceil(tokens / block_tokens)`` blocks, so growing by
+          ``t'`` tokens needs at least ``t' // block_tokens`` new ones.  An unscheduled
+          prefill's ``t'`` is frozen for the epoch; a scheduled one's never drops below
+          its take, because the epoch ends before its prompt-completing chunk.  So the
+          real headroom never drops below the floor, and a candidate blocked at the
+          floor stays blocked;
         * the top waiting request is admitted per :meth:`_admission_plan` — same cached
           match, same suffix chunk.  A blocked admission makes ``step()`` evict cached
           blocks, which changes the trie even when admission stays blocked, so it is
@@ -1045,13 +1054,22 @@ class ContinuousBatchingScheduler:
             request = self._imported[0][2]
             if kv.config.blocks_for_tokens(request.imported_kv_tokens) <= free:
                 return False
-        headroom = len(self._running)
-        for request in self._swapped:
-            needed = kv.swapped_sequence(request.request_id).num_blocks
-            if request.decoding:
-                needed += 1
-            if needed + headroom <= free:
-                return False
+        if self._swapped:
+            headroom = len(self._running)
+            scheduled = {request: take for request, _, take in takes}
+            block_tokens = kv.config.block_tokens
+            for request in self._prefilling:
+                take = scheduled.get(request)
+                if take is None:
+                    take = min(request.prefill_target - request.prefilled,
+                               self.prefill_chunk_tokens)
+                headroom += take // block_tokens
+            for request in self._swapped:
+                needed = kv.swapped_sequence(request.request_id).num_blocks
+                if request.decoding:
+                    needed += 1
+                if needed + headroom <= free:
+                    return False
         if self._waiting and budget_left > 0:
             _, take = self._admission_plan(self._waiting[0][2], budget_left)
             if kv.can_admit(take):
@@ -1143,7 +1161,7 @@ class ContinuousBatchingScheduler:
                     avail -= needed
                     takes.append((request, state, take))
                     budget -= take
-            if queued and not self._queues_parked(budget):
+            if queued and not self._queues_parked(budget, takes):
                 break
 
             # ---- composition horizon: the earliest finisher's last decode iteration,

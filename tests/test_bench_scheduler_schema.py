@@ -1,5 +1,7 @@
 """The committed BENCH_scheduler.json must match the documented schema and carry the
-acceptance flags, so the per-PR perf trajectory stays machine-comparable."""
+acceptance flags, so the per-PR perf trajectory stays machine-comparable.  Fast-forward
+coverage on the harness's mixed_phase workload is gated as a count, which does not
+depend on host speed."""
 
 import importlib.util
 import json
@@ -213,3 +215,26 @@ class TestBenchSchema:
         broken["trace_simulation"]["harness"]["wall_time_s"] = True
         with pytest.raises(ValueError, match="expected float, got bool"):
             bench.validate_payload(broken)
+
+
+class TestMixedPhaseCoverageCount:
+    def test_fast_mixed_phase_step_calls(self, bench, monkeypatch):
+        """The ``step()`` calls fast-forward leaves on the ``--fast`` mixed_phase workload
+        (150 requests): every other iteration runs inside a closed-form epoch.  The count
+        was 705 before swapped sequences were parked against the prefill-chunk headroom
+        ``step()``'s swap-in scan reserves."""
+        from repro.core import simulate_serving
+        from repro.serving import ContinuousBatchingScheduler
+
+        calls = []
+        step = ContinuousBatchingScheduler.step
+
+        def counted_step(self):
+            calls.append(None)
+            return step(self)
+
+        monkeypatch.setattr(ContinuousBatchingScheduler, "step", counted_step)
+        sim = simulate_serving("liquidserve", "llama2-7b", **bench.mixed_phase_kwargs(150))
+        assert sim.stats.num_iterations == 12_985
+        assert len(calls) == 500
+        assert len(calls) < 705

@@ -8,7 +8,9 @@ driven through the same iterations with :meth:`ContinuousBatchingScheduler.step`
   retires the request (only a prompt-completing chunk is left to ``step()``);
 * after a retirement the jump chains into the next epoch only when nothing is queued;
 * with prefix caching, a blocked admission is parked only while no cached block is
-  idle, because ``step()`` evicts idle blocks even when admission stays blocked.
+  idle, because ``step()`` evicts idle blocks even when admission stays blocked;
+* a swapped-out sequence is parked against the headroom ``step()``'s swap-in scan
+  reserves, resident prefill chunks included.
 """
 
 from test_fast_forward_equivalence import MB, _run, assert_stats_identical
@@ -106,3 +108,48 @@ class TestPrefixCacheParkedAdmission:
         assert stepwise.prefix_blocks_evicted > 0
         assert sched_a.clock == sched_b.clock
         assert_stats_identical(stepwise, fast)
+
+
+def _swapped_behind_prefill_reservation():
+    """A swapped decode (request 0) that fits the free pool with one block to spare but
+    not beside the resident prefill's next 128-token chunk (8 blocks), which ``step()``'s
+    swap-in scan reserves.  70-block pool: request 1 holds 32 blocks (512 of its 1,024
+    prompt tokens), 38 are free, and request 0 needs its 31 blocks plus a decode slot."""
+    engine = ServingEngine("liquidserve", "llama2-7b")
+    block_bytes = engine.kv_cache_config().bytes_per_block
+    scheduler = ContinuousBatchingScheduler(
+        engine, prefill_chunk_tokens=128, preemption_policy="swap",
+        kv_budget_bytes=70 * block_bytes, host_kv_budget_bytes=64 * block_bytes,
+    )
+    scheduler.submit(Request(request_id=0, prompt_tokens=480, output_tokens=64))
+    for _ in range(4):
+        scheduler.step()  # 480 prompt tokens in four chunks; request 0 decodes
+    scheduler.submit(Request(request_id=1, prompt_tokens=1024, output_tokens=4))
+    for _ in range(4):
+        scheduler.step()  # four 128-token chunks of request 1 beside request 0's decodes
+    victim = scheduler._running[0]
+    assert scheduler._preempt_one(exclude=scheduler._prefilling[0])  # swaps request 0 out
+    assert scheduler._swapped == [victim] and not scheduler._running
+    needed = scheduler.kv_cache.swapped_sequence(0).num_blocks + 1
+    assert needed <= scheduler.kv_cache.num_free_blocks < needed + 128 // 16
+    return scheduler
+
+
+class TestSwappedParkedBehindPrefillChunks:
+    def test_swap_in_blocked_by_a_chunk_reservation_is_parked(self):
+        """Regression: the swapped sequence used to be checked against one slot block per
+        running sequence only, so it looked ready to land and every jump was declined,
+        though ``step()`` would not swap it in beside the prefill's chunk."""
+        fast = _swapped_behind_prefill_reservation()
+        step = _swapped_behind_prefill_reservation()
+        advanced = fast.fast_forward()
+        # Request 1 has four chunks left; the jump stops before the prompt-completing one.
+        assert advanced == 3
+        for _ in range(advanced):
+            step.step()
+        assert step.stats().swap_ins == 0 and step._swapped
+        _assert_twins_match(fast, step)
+        assert fast.fast_forward() == 0
+        fast.step()
+        step.step()
+        _assert_twins_match(fast, step)

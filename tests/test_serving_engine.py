@@ -5,58 +5,76 @@ import pytest
 from repro.gpu import H800
 from repro.serving import (
     ContinuousBatchingScheduler,
+    PrefillChunk,
     Request,
     ServingEngine,
     TABLE1_SYSTEMS,
-    decode_attention_cost,
+    chunked_prefill_attention_cost,
+    decode_attention_cost_from_totals,
     get_model,
     get_system,
     list_systems,
-    prefill_attention_cost,
 )
 
 
 class TestAttentionCost:
+    """The decode form at ``(B, B*c)`` is a uniform batch of ``B`` sequences at context
+    ``c``; the chunk form at ``context_start=0`` is a whole prompt."""
+
     def test_kv_read_dominates_decode(self):
-        cost = decode_attention_cost(get_model("llama2-7b"), H800, 64, 1024, 1.0)
+        cost = decode_attention_cost_from_totals(get_model("llama2-7b"), H800, 64, 64 * 1024, 1.0)
         assert cost.kv_read > cost.compute
         assert cost.kv_read > cost.kv_write
         assert cost.total > 0
 
     def test_linear_in_batch_and_context(self):
         model = get_model("llama2-7b")
-        base = decode_attention_cost(model, H800, 16, 512, 1.0).kv_read
-        assert decode_attention_cost(model, H800, 32, 512, 1.0).kv_read == pytest.approx(2 * base)
-        assert decode_attention_cost(model, H800, 16, 1024, 1.0).kv_read == pytest.approx(2 * base)
+        base = decode_attention_cost_from_totals(model, H800, 16, 16 * 512, 1.0).kv_read
+        assert decode_attention_cost_from_totals(
+            model, H800, 32, 32 * 512, 1.0
+        ).kv_read == pytest.approx(2 * base)
+        assert decode_attention_cost_from_totals(
+            model, H800, 16, 16 * 1024, 1.0
+        ).kv_read == pytest.approx(2 * base)
 
     def test_kv_precision_scales_read_time(self):
         model = get_model("llama2-7b")
-        int8 = decode_attention_cost(model, H800, 16, 512, 1.0).kv_read
-        int4 = decode_attention_cost(model, H800, 16, 512, 0.5).kv_read
-        fp16 = decode_attention_cost(model, H800, 16, 512, 2.0).kv_read
+        int8 = decode_attention_cost_from_totals(model, H800, 16, 16 * 512, 1.0).kv_read
+        int4 = decode_attention_cost_from_totals(model, H800, 16, 16 * 512, 0.5).kv_read
+        fp16 = decode_attention_cost_from_totals(model, H800, 16, 16 * 512, 2.0).kv_read
         assert int4 == pytest.approx(int8 / 2) and fp16 == pytest.approx(2 * int8)
 
     def test_gqa_reduces_attention_cost(self):
-        mha = decode_attention_cost(get_model("llama2-7b"), H800, 16, 1024, 1.0).total
-        gqa = decode_attention_cost(get_model("llama3-8b"), H800, 16, 1024, 1.0).total
+        mha = decode_attention_cost_from_totals(
+            get_model("llama2-7b"), H800, 16, 16 * 1024, 1.0
+        ).total
+        gqa = decode_attention_cost_from_totals(
+            get_model("llama3-8b"), H800, 16, 16 * 1024, 1.0
+        ).total
         assert gqa < mha / 2
 
     def test_attention_efficiency(self):
         model = get_model("llama2-7b")
-        full = decode_attention_cost(model, H800, 16, 512, 1.0, attention_efficiency=1.0)
-        half = decode_attention_cost(model, H800, 16, 512, 1.0, attention_efficiency=0.5)
+        full = decode_attention_cost_from_totals(
+            model, H800, 16, 16 * 512, 1.0, attention_efficiency=1.0
+        )
+        half = decode_attention_cost_from_totals(
+            model, H800, 16, 16 * 512, 1.0, attention_efficiency=0.5
+        )
         assert half.kv_read == pytest.approx(2 * full.kv_read)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            decode_attention_cost(get_model("llama2-7b"), H800, 0, 10, 1.0)
+            decode_attention_cost_from_totals(get_model("llama2-7b"), H800, 0, 0 * 10, 1.0)
         with pytest.raises(ValueError):
-            decode_attention_cost(get_model("llama2-7b"), H800, 1, 10, 1.0, attention_efficiency=0)
+            decode_attention_cost_from_totals(
+                get_model("llama2-7b"), H800, 1, 1 * 10, 1.0, attention_efficiency=0
+            )
 
     def test_prefill_quadratic_in_prompt(self):
         model = get_model("llama2-7b")
-        short = prefill_attention_cost(model, H800, 4, 256).compute
-        long = prefill_attention_cost(model, H800, 4, 512).compute
+        short = chunked_prefill_attention_cost(model, H800, 256, 0, 1.0).compute
+        long = chunked_prefill_attention_cost(model, H800, 512, 0, 1.0).compute
         assert long == pytest.approx(4 * short, rel=0.01)
 
 
@@ -181,6 +199,70 @@ class TestServingEngineTiming:
         config = engine.kv_cache_config()
         assert config.host_memory_budget_bytes == engine.system.host_kv_swap_bytes
         assert config.total_host_blocks > 0
+
+
+class TestOneCostCore:
+    """The fixed-batch API is a set of wrappers over ``iteration_time``, the cost core
+    the scheduler charges every iteration through, so Table 1, Fig. 11 and a preemption
+    policy's recompute estimate are priced by the same function that runs the trace."""
+
+    MODELS = ("llama2-7b", "llama2-70b", "llama3-8b", "mixtral-8x7b")
+
+    def test_decode_step_is_one_decode_iteration(self):
+        """1,400 probes: 7 systems x 4 models x TP 1/4 x 5 batch sizes x 5 contexts.  The
+        decode iteration equals the Fig. 4/10 per-layer breakdown it is plotted from."""
+        probes = 0
+        for system in TABLE1_SYSTEMS:
+            for model in self.MODELS:
+                for tp in (1, 4):
+                    engine = ServingEngine(system, model, tp_degree=tp)
+                    for batch in (1, 7, 64, 128, 256):
+                        for context in (1, 100, 1024, 1536, 4095):
+                            step = engine.decode_step_time(batch, context)
+                            assert step == engine.iteration_time(
+                                batch, batch * context, (), batch
+                            )
+                            assert step == (
+                                engine.layer_breakdown(batch, context).total
+                                * engine.model.num_layers
+                                + engine.lm_head_time(batch)
+                            )
+                            probes += 1
+        assert probes == 1400
+
+    def test_prefill_and_recompute_are_one_prompt_iteration(self):
+        """Prefilling B whole prompts costs what the scheduler charges for B
+        prompt-completing chunks at context 0; a recompute is the one-prompt case."""
+        for system in TABLE1_SYSTEMS:
+            for model in self.MODELS:
+                for tp in (1, 4):
+                    engine = ServingEngine(system, model, tp_degree=tp)
+                    for batch in (1, 8, 64):
+                        for prompt in (1, 256, 1024):
+                            prefill = engine.prefill_time(batch, prompt)
+                            assert prefill == engine.iteration_time(
+                                0, 0, [(prompt, 0)] * batch, batch
+                            )
+                            assert prefill == engine.mixed_step_time(
+                                [], [PrefillChunk(prompt, 0, True)] * batch
+                            )
+                    for tokens in (1, 256, 4096):
+                        assert engine.recompute_time(tokens) == engine.prefill_time(1, tokens)
+
+    def test_prefill_runs_under_the_system_gemm_kernel(self):
+        """LiquidServe and LiquidServe/wo differ only in the W4A8 GEMM kernel, so the
+        kernel must show in the compute-bound prefill, not only in decode."""
+        liquid = ServingEngine("liquidserve", "llama2-7b").prefill_time(8, 1024)
+        without = ServingEngine("liquidserve-wo", "llama2-7b").prefill_time(8, 1024)
+        assert without > liquid
+
+    def test_invalid_shapes_rejected(self):
+        engine = ServingEngine("liquidserve", "llama2-7b")
+        for batch, length in ((0, 16), (4, 0)):
+            with pytest.raises(ValueError):
+                engine.decode_step_time(batch, length)
+            with pytest.raises(ValueError):
+                engine.prefill_time(batch, length)
 
 
 class TestTable1Properties:

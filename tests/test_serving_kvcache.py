@@ -581,6 +581,19 @@ class KvForkSwapMachine(RuleBasedStateMachine):
             assert state.num_tokens == tokens
             assert state.num_blocks == self.config.blocks_for_tokens(tokens)
 
+    @invariant()
+    def growth_needs_at_least_its_whole_blocks(self):
+        """``blocks_needed_to_extend(s, t) >= t // block_tokens``: the per-prefill floor
+        the scheduler's fast-forward charges against a swap-in (it holds because every
+        sequence keeps exactly ``ceil(tokens / block_tokens)`` blocks)."""
+        block_tokens = self.config.block_tokens
+        for seq_id in self.resident:
+            for tokens in (1, block_tokens - 1, block_tokens, 3 * block_tokens + 1):
+                assert (
+                    self.cache.blocks_needed_to_extend(seq_id, tokens)
+                    >= tokens // block_tokens
+                )
+
 
 TestKvForkSwapStateMachine = KvForkSwapMachine.TestCase
 

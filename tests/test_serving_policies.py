@@ -204,15 +204,53 @@ class TestPolicyKnobsThroughCoreApi:
         assert all(0 <= r.priority < 3 for r in sim.stats.requests)
 
 
+class TestHybridEqualsSwapOnStockH800:
+    """On the stock H800 (55 GB/s PCIe Gen5 host link) a W4A8 victim's swap round trip
+    beats re-prefilling its context, priced by the iteration cost the scheduler charges
+    (LiquidServe's GEMM kernel included).  So the hybrid policy swaps every victim and
+    serves a KV-pressure trace exactly as swap-whenever-possible.
+    """
+
+    def _run(self, preemption_policy):
+        from repro.workloads.traces import (
+            ArrivalProcess,
+            LengthDistribution,
+            generate_trace,
+        )
+
+        trace = generate_trace(
+            50,
+            ArrivalProcess(16.0),
+            LengthDistribution.lognormal(1024.0, 0.9, maximum=4096),
+            LengthDistribution.lognormal(200.0, 0.8, maximum=1024),
+            seed=0,
+        )
+        scheduler = ContinuousBatchingScheduler(
+            ServingEngine("liquidserve", "llama2-7b"),
+            kv_budget_bytes=2 * 2**30,
+            host_kv_budget_bytes=4 * 2**30,
+            preemption_policy=preemption_policy,
+        )
+        return scheduler.run(trace)
+
+    def test_hybrid_serves_the_trace_exactly_as_swap(self):
+        from test_fast_forward_equivalence import assert_stats_identical
+
+        hybrid, swap = self._run("hybrid"), self._run("swap")
+        assert swap.swap_preemptions > 0
+        assert hybrid.recompute_preemptions == 0
+        assert_stats_identical(swap, hybrid)
+
+
 class TestHybridRecomputeEndToEnd:
     """Coverage for the hybrid policy's *recompute* branch under real scheduling.
 
-    On the stock H800 (25 GB/s host link) the swap round trip beats re-prefill for
-    essentially every victim, so the hybrid policy is byte-identical to swap-whenever-
-    possible in the standard A/Bs and the recompute branch only ever ran in isolation.
-    A host link this slow (0.5 GB/s — think oversubscribed PCIe or a swap pool behind
-    a fabric) flips the trade: re-prefilling a victim's context is cheaper than two
-    transfers, and the cost model must pick recompute *with host-pool room available*.
+    On the stock H800 (55 GB/s PCIe Gen5 host link) the swap round trip beats re-prefill
+    for every W4A8 victim, so the hybrid policy equals swap-whenever-possible there
+    (:class:`TestHybridEqualsSwapOnStockH800`).  A host link this slow (0.5 GB/s — think
+    oversubscribed PCIe or a swap pool behind a fabric) flips the trade: re-prefilling a
+    victim's context is cheaper than two transfers, and the cost model must pick recompute
+    *with host-pool room available*.
     """
 
     def _slow_link_engine(self):
