@@ -9,9 +9,12 @@ from ..kernels.liquidgemm import LiquidGemmKernel
 from .api import (
     ClusterSimulation,
     GemmResult,
+    RunSpec,
     ServingSimulation,
+    WorkloadSpec,
     compare_kernels,
     quantize_weights,
+    run,
     simulate_cluster,
     simulate_serving,
     w4a8_gemm,
@@ -21,9 +24,12 @@ __all__ = [
     "LiquidGemmKernel",
     "ClusterSimulation",
     "GemmResult",
+    "RunSpec",
     "ServingSimulation",
+    "WorkloadSpec",
     "compare_kernels",
     "quantize_weights",
+    "run",
     "simulate_cluster",
     "simulate_serving",
     "w4a8_gemm",

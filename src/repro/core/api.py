@@ -1,6 +1,6 @@
 """Top-level convenience API for the LiquidGEMM reproduction.
 
-Most users need four things:
+Most users need these:
 
 * :func:`quantize_weights` — offline LiquidQuant quantization + dual-MMA packing of a weight
   matrix, ready for deployment;
@@ -13,7 +13,12 @@ Most users need four things:
   scheduler statistics and an SLO report (p50/p99 TTFT, TPOT, goodput);
 * :func:`simulate_cluster` — the same trace served by a multi-replica cluster behind a
   pluggable router: co-located data-parallel replicas, or DistServe-style disaggregated
-  prefill/decode replicas with per-request KV handoffs over the interconnect.
+  prefill/decode replicas with per-request KV handoffs over the interconnect;
+* :class:`RunSpec` + :func:`run` — the one object both ``simulate_*`` functions build:
+  system, model, device, TP degree, fleet shape (``cluster=None`` is one replica), a
+  :class:`WorkloadSpec` trace, the scheduler's keyword options and an SLO.  ``run`` serves
+  it and returns a :class:`~repro.serving.cluster.ClusterResult` for either shape; sweep
+  cells and ``python -m repro.trace`` build specs too.
 
 Everything here is a thin composition of the subpackages; power users should use
 :mod:`repro.kernels`, :mod:`repro.serving` and :mod:`repro.costmodel` directly.
@@ -21,8 +26,8 @@ Everything here is a thin composition of the subpackages; power users should use
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
 import numpy as np
 
@@ -35,18 +40,12 @@ from ..serving.cluster import ClusterResult, ServingCluster
 from ..serving.engine import ServingEngine
 from ..serving.metrics import RequestMetrics, SloReport, SloSpec, request_metrics
 from ..serving.scheduler import ContinuousBatchingScheduler, SchedulerStats
-from ..serving.systems import ClusterSpec
-from ..workloads.traces import (
-    SHAREGPT_OUTPUTS,
-    SHAREGPT_PROMPTS,
-    ArrivalProcess,
-    LengthDistribution,
-    generate_trace,
-)
+from ..serving.systems import ClusterSpec, SystemProfile
+from ..workloads.traces import WorkloadSpec
 
 __all__ = ["quantize_weights", "w4a8_gemm", "compare_kernels", "GemmResult",
-           "ServingSimulation", "simulate_serving", "ClusterSimulation",
-           "simulate_cluster"]
+           "RunSpec", "WorkloadSpec", "run", "ServingSimulation", "simulate_serving",
+           "ClusterSimulation", "simulate_cluster"]
 
 
 @dataclass
@@ -92,6 +91,76 @@ def w4a8_gemm(
     )
 
 
+@dataclass(frozen=True)
+class RunSpec:
+    """One serving run, declared once (the shape of Ray Serve's ``LLMConfig``).
+
+    What serves: ``system`` (a registry name or a :class:`SystemProfile`, e.g. one derived
+    with a kernel override), ``model``, ``device``, ``tp_degree`` and ``cluster`` — ``None``
+    is one replica on the plain scheduler loop, a :class:`ClusterSpec` is a fleet behind a
+    router.  What it serves: ``workload``.  How every replica schedules:
+    ``scheduler_options``, the keyword options of :class:`ContinuousBatchingScheduler`
+    (policies, budgets, chunking, ``fast_forward``, ``prefix_caching``), passed through as
+    given.  ``slo`` is what callers judge the result by.
+    """
+
+    system: Union[str, SystemProfile] = "liquidserve"
+    model: str = "llama2-7b"
+    device: str = "H800"
+    tp_degree: int = 1
+    cluster: Optional[ClusterSpec] = None
+    workload: WorkloadSpec = WorkloadSpec()
+    scheduler_options: Mapping[str, Any] = field(default_factory=dict)
+    slo: Optional[SloSpec] = None
+
+    def build_engine(self) -> ServingEngine:
+        """A fresh cost model for this spec's system, model, device and TP degree."""
+        return ServingEngine(self.system, self.model, device=self.device,
+                             tp_degree=self.tp_degree)
+
+
+def run(spec: RunSpec, *, engine: Optional[ServingEngine] = None, tracer=None) -> ClusterResult:
+    """Serve ``spec.workload`` as ``spec`` describes and return the outcome.
+
+    The one place a run branches on single replica vs fleet: a single replica runs
+    :meth:`ContinuousBatchingScheduler.run` (no cluster layer on its hot loop) and is
+    reported as a one-replica :class:`ClusterResult`.  ``engine`` injects an already-warm
+    cost model built for the same spec (sweep workers reuse one per configuration);
+    ``tracer`` (a :class:`repro.telemetry.Tracer`) records the run, ``None`` is
+    zero-overhead.
+    """
+    if engine is None:
+        engine = spec.build_engine()
+    trace = spec.workload.trace()
+    if spec.cluster is not None:
+        return ServingCluster(spec=spec.cluster, engine=engine, tracer=tracer,
+                              **spec.scheduler_options).run(trace)
+    if tracer is not None:
+        tracer.set_replica_role(0, "single")
+    stats = ContinuousBatchingScheduler(engine, tracer=tracer,
+                                        **spec.scheduler_options).run(trace)
+    return ClusterResult(
+        mode="single", router="none", replica_roles=["single"], replica_stats=[stats],
+        simulated_time_s=stats.simulated_time_s, completed_requests=stats.completed_requests,
+        generated_tokens=stats.generated_tokens, requests=stats.requests,
+    )
+
+
+def _take(options: Dict[str, Any], owner) -> Dict[str, Any]:
+    """Pop the keywords that are fields of dataclass ``owner``."""
+    return {f.name: options.pop(f.name) for f in fields(owner) if f.name in options}
+
+
+def _simulate(system, model, cluster: Optional[ClusterSpec], options: Dict[str, Any], tracer):
+    """Route flat ``simulate_*`` keywords to their one owner, then :func:`run` the spec."""
+    workload = WorkloadSpec(**_take(options, WorkloadSpec))
+    run_fields = _take(options, RunSpec)  # device, tp_degree, slo
+    spec = RunSpec(system, model, cluster=cluster, workload=workload,
+                   scheduler_options=options, **run_fields)
+    engine = spec.build_engine()
+    return spec, engine, run(spec, engine=engine, tracer=tracer)
+
+
 @dataclass
 class ServingSimulation:
     """Outcome of :func:`simulate_serving`: scheduler statistics plus the SLO summary."""
@@ -116,31 +185,7 @@ class ServingSimulation:
 
 
 def simulate_serving(
-    system: str = "liquidserve",
-    model: str = "llama2-7b",
-    *,
-    device: str = "H800",
-    tp_degree: int = 1,
-    num_requests: int = 500,
-    arrival_rate_rps: float = 10.0,
-    arrival_cv: float = 1.0,
-    prompt_lengths: Optional[LengthDistribution] = None,
-    output_lengths: Optional[LengthDistribution] = None,
-    seed: int = 0,
-    max_batch_size: Optional[int] = None,
-    max_batched_tokens: Optional[int] = None,
-    prefill_chunk_tokens: int = 256,
-    scheduling_policy: str = "fcfs",
-    preemption_policy: str = "recompute",
-    kv_budget_bytes: Optional[int] = None,
-    host_kv_budget_bytes: Optional[int] = None,
-    overlap_swap_transfers: bool = False,
-    num_priority_levels: int = 1,
-    slo: Optional[SloSpec] = None,
-    fast_forward: bool = True,
-    prefix_caching: bool = False,
-    shared_prefix_tokens: int = 0,
-    tracer=None,
+    system: str = "liquidserve", model: str = "llama2-7b", *, tracer=None, **options
 ) -> ServingSimulation:
     """Run a trace-driven request-level serving simulation end to end.
 
@@ -151,57 +196,31 @@ def simulate_serving(
     admission ordering (FCFS, priority, SJF, max-min fairness), optional tensor parallelism —
     and summarizes both throughput and SLO attainment.
 
-    ``kv_budget_bytes`` / ``host_kv_budget_bytes`` override the device KV pool and host swap
-    pool for KV-pressure studies; ``overlap_swap_transfers`` hides swap DMAs behind compute
-    (``max`` instead of sum); ``num_priority_levels > 1`` samples request priorities into
-    the trace for the 'priority' scheduling policy.  ``fast_forward`` (default on) advances
-    steady decode-only phases analytically instead of iterating them — bit-identical
-    results, order-of-magnitude faster wall clock; disable it to drive every iteration.
-
-    ``prefix_caching`` turns on the radix-tree prefix cache (fork-on-admit of cached
-    blocks, LRU eviction under KV pressure); ``shared_prefix_tokens > 0`` stamps every
-    trace request with that many leading shareable tokens (a common system prompt), which
-    is the simplest workload that exercises it — the generators in
-    :mod:`repro.workloads.traces` build richer shared-prefix traces.
+    Each keyword in ``options`` goes to its one owner, by name: ``device``, ``tp_degree``
+    and ``slo`` to :class:`RunSpec`; the trace knobs (``num_requests`` default 500,
+    ``arrival_rate_rps`` default 10, ``arrival_cv``, ``prompt_lengths``,
+    ``output_lengths``, ``seed``, ``num_priority_levels``, ``shared_prefix_tokens``) to
+    :class:`WorkloadSpec`; everything else to :class:`ContinuousBatchingScheduler` —
+    e.g. ``kv_budget_bytes`` / ``host_kv_budget_bytes`` (KV-pressure studies),
+    ``scheduling_policy``, ``preemption_policy``, ``fast_forward`` (default on: steady
+    phases advance analytically, bit-identical to stepping) and ``prefix_caching`` (the
+    radix-tree prefix cache; pair with ``shared_prefix_tokens > 0``, a common system
+    prompt).  An unknown keyword raises ``TypeError``.
 
     ``tracer`` (a :class:`repro.telemetry.Tracer`) records the full structured event
     stream — request lifecycle, per-epoch compute spans, KV/cache activity, periodic
     counter samples — for timeline export; ``None`` (the default) is zero-overhead.
+    This is :func:`run` on a ``RunSpec`` with ``cluster=None``.
     """
-    engine = ServingEngine(system, model, device=device, tp_degree=tp_degree, tracer=tracer)
-    if tracer is not None:
-        tracer.set_replica_role(0, "single")
-    scheduler = ContinuousBatchingScheduler(
-        engine,
-        max_batch_size=max_batch_size,
-        max_batched_tokens=max_batched_tokens,
-        prefill_chunk_tokens=prefill_chunk_tokens,
-        scheduling_policy=scheduling_policy,
-        preemption_policy=preemption_policy,
-        kv_budget_bytes=kv_budget_bytes,
-        host_kv_budget_bytes=host_kv_budget_bytes,
-        overlap_swap_transfers=overlap_swap_transfers,
-        fast_forward=fast_forward,
-        prefix_caching=prefix_caching,
-        tracer=tracer,
-    )
-    trace = generate_trace(
-        num_requests,
-        ArrivalProcess(rate_rps=arrival_rate_rps, cv=arrival_cv),
-        prompt_lengths or SHAREGPT_PROMPTS,
-        output_lengths or SHAREGPT_OUTPUTS,
-        seed=seed,
-        num_priority_levels=num_priority_levels,
-        shared_prefix_tokens=shared_prefix_tokens,
-    )
-    stats = scheduler.run(trace)
+    spec, engine, result = _simulate(system, model, None, options, tracer)
+    stats = result.replica_stats[0]
     return ServingSimulation(
         system=engine.system.name,
         model=engine.model.name,
-        tp_degree=tp_degree,
-        num_requests=num_requests,
+        tp_degree=spec.tp_degree,
+        num_requests=spec.workload.num_requests,
         stats=stats,
-        slo=stats.slo_report(slo),
+        slo=stats.slo_report(spec.slo),
         per_request=request_metrics(stats.requests),
     )
 
@@ -241,101 +260,40 @@ class ClusterSimulation:
 
 
 def simulate_cluster(
-    system: str = "liquidserve",
-    model: str = "llama2-7b",
-    *,
-    device: str = "H800",
-    tp_degree: int = 1,
-    mode: str = "colocated",
-    num_replicas: Optional[int] = None,
-    num_prefill_replicas: int = 1,
-    num_decode_replicas: int = 1,
-    router: Optional[str] = None,
-    num_requests: int = 500,
-    arrival_rate_rps: float = 10.0,
-    arrival_cv: float = 1.0,
-    prompt_lengths: Optional[LengthDistribution] = None,
-    output_lengths: Optional[LengthDistribution] = None,
-    seed: int = 0,
-    max_batch_size: Optional[int] = None,
-    max_batched_tokens: Optional[int] = None,
-    prefill_chunk_tokens: int = 256,
-    scheduling_policy: str = "fcfs",
-    preemption_policy: str = "recompute",
-    kv_budget_bytes: Optional[int] = None,
-    host_kv_budget_bytes: Optional[int] = None,
-    overlap_swap_transfers: bool = False,
-    num_priority_levels: int = 1,
-    slo: Optional[SloSpec] = None,
-    fast_forward: bool = True,
-    prefix_caching: bool = False,
-    shared_prefix_tokens: int = 0,
-    tracer=None,
+    system: str = "liquidserve", model: str = "llama2-7b", *, tracer=None, **options
 ) -> ClusterSimulation:
     """Run a trace-driven simulation of a multi-replica serving cluster end to end.
 
-    The same trace generator and per-replica scheduler as :func:`simulate_serving`, lifted
-    to a fleet: ``mode="colocated"`` spreads whole requests over ``num_replicas`` identical
-    replicas (default 2) via ``router`` (default round-robin); ``mode="disaggregated"``
-    serves prompt prefill on ``num_prefill_replicas`` and decode on ``num_decode_replicas``
-    (DistServe-style), migrating each finished prefill's KV blocks over the GPU
+    The same trace and per-replica scheduler as :func:`simulate_serving`, lifted to a
+    fleet: the :class:`ClusterSpec` keywords (``mode``, ``num_replicas``,
+    ``num_prefill_replicas``, ``num_decode_replicas``, ``router``) shape it, and every
+    other keyword is routed as in :func:`simulate_serving`.  ``mode="colocated"`` (the
+    default) spreads whole requests over ``num_replicas`` identical replicas (default 2)
+    via ``router`` (default round-robin); ``mode="disaggregated"`` serves prompt prefill
+    on ``num_prefill_replicas`` and decode on ``num_decode_replicas`` (1 + 1 by default,
+    DistServe-style), migrating each finished prefill's KV blocks over the GPU
     interconnect (default router: the disaggregation-aware policy) — passing
     ``num_replicas`` there is an error rather than silently ignored.
     ``simulate_cluster(num_replicas=1)`` is, by construction, exactly
     :func:`simulate_serving` — the equivalence the test suite pins.
 
     ``prefix_caching`` gives every replica its own radix-tree prefix cache (pair with
-    ``router="cache-affinity"`` so shared-prefix requests land where their prefix lives);
-    ``shared_prefix_tokens`` stamps the generated trace as in :func:`simulate_serving`.
+    ``router="cache-affinity"`` so shared-prefix requests land where their prefix lives).
     ``tracer`` records one event track per replica plus routing decisions and KV
     migrations (see :mod:`repro.telemetry`); ``None`` is zero-overhead.
     """
-    spec = ClusterSpec(
-        mode=mode,
-        num_replicas=num_replicas,
-        num_prefill_replicas=num_prefill_replicas,
-        num_decode_replicas=num_decode_replicas,
-        router=router,
-    )
-    cluster = ServingCluster(
-        system,
-        model,
-        spec,
-        device=device,
-        tp_degree=tp_degree,
-        max_batch_size=max_batch_size,
-        max_batched_tokens=max_batched_tokens,
-        prefill_chunk_tokens=prefill_chunk_tokens,
-        scheduling_policy=scheduling_policy,
-        preemption_policy=preemption_policy,
-        kv_budget_bytes=kv_budget_bytes,
-        host_kv_budget_bytes=host_kv_budget_bytes,
-        overlap_swap_transfers=overlap_swap_transfers,
-        fast_forward=fast_forward,
-        prefix_caching=prefix_caching,
-        tracer=tracer,
-    )
-    trace = generate_trace(
-        num_requests,
-        ArrivalProcess(rate_rps=arrival_rate_rps, cv=arrival_cv),
-        prompt_lengths or SHAREGPT_PROMPTS,
-        output_lengths or SHAREGPT_OUTPUTS,
-        seed=seed,
-        num_priority_levels=num_priority_levels,
-        shared_prefix_tokens=shared_prefix_tokens,
-    )
-    result = cluster.run(trace)
-    first = cluster.replicas[0]
+    cluster = ClusterSpec(**_take(options, ClusterSpec))
+    spec, engine, result = _simulate(system, model, cluster, options, tracer)
     return ClusterSimulation(
-        system=first.engine.system.name,
-        model=first.engine.model.name,
-        tp_degree=tp_degree,
-        mode=spec.mode,
-        router=cluster.router_name,
-        num_replicas=spec.total_replicas,
-        num_requests=num_requests,
+        system=engine.system.name,
+        model=engine.model.name,
+        tp_degree=spec.tp_degree,
+        mode=result.mode,
+        router=result.router,
+        num_replicas=result.num_replicas,
+        num_requests=spec.workload.num_requests,
         result=result,
-        slo=result.slo_report(slo),
+        slo=result.slo_report(spec.slo),
         per_request=request_metrics(result.requests),
     )
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import copy
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import ServingEngine
 from .metrics import SloReport, SloSpec, compute_slo_report
@@ -107,7 +107,11 @@ class Replica:
 
 @dataclass
 class ClusterResult:
-    """Outcome of one :meth:`ServingCluster.run`: per-replica stats + merged request view."""
+    """Outcome of one :meth:`ServingCluster.run`: per-replica stats + merged request view.
+
+    :func:`repro.core.run` returns this type for a single replica too (``mode="single"``,
+    ``router="none"``, one entry per list).
+    """
 
     mode: str
     router: str
@@ -143,8 +147,10 @@ class ClusterResult:
 class ServingCluster:
     """Event loop advancing N scheduler replicas on a shared virtual clock.
 
-    Every replica is built from the same (system, model, device, tp_degree, scheduler
-    knobs), so a :class:`~repro.serving.systems.ClusterSpec` A/B holds resources equal:
+    Every replica is built from the same (system, model, device, tp_degree) and the same
+    ``scheduler_options`` — the keyword options of
+    :class:`~repro.serving.scheduler.ContinuousBatchingScheduler`, forwarded as given — so
+    a :class:`~repro.serving.systems.ClusterSpec` A/B holds resources equal:
     ``colocated`` with ``num_replicas=4`` and ``disaggregated`` with 2+2 both occupy four
     identical GPUs.  The router instance is re-created per :meth:`run`, so stateful
     policies (round-robin's cursor) cannot leak position between runs.
@@ -158,18 +164,9 @@ class ServingCluster:
         *,
         device: str = "H800",
         tp_degree: int = 1,
-        max_batch_size: Optional[int] = None,
-        max_batched_tokens: Optional[int] = None,
-        prefill_chunk_tokens: int = 256,
-        scheduling_policy: Union[str, object] = "fcfs",
-        preemption_policy: Union[str, object] = "recompute",
-        kv_budget_bytes: Optional[int] = None,
-        host_kv_budget_bytes: Optional[int] = None,
-        overlap_swap_transfers: bool = False,
-        fast_forward: bool = True,
-        prefix_caching: bool = False,
         engine: Optional[ServingEngine] = None,
         tracer=None,
+        **scheduler_options,
     ):
         self.spec = spec or ClusterSpec()
         self.router_name = self.spec.router or self.spec.default_router
@@ -186,19 +183,7 @@ class ServingCluster:
         self._tracer = tracer
         for replica_id, role in enumerate(self.spec.roles()):
             scheduler = ContinuousBatchingScheduler(
-                engine,
-                max_batch_size=max_batch_size,
-                max_batched_tokens=max_batched_tokens,
-                prefill_chunk_tokens=prefill_chunk_tokens,
-                scheduling_policy=scheduling_policy,
-                preemption_policy=preemption_policy,
-                kv_budget_bytes=kv_budget_bytes,
-                host_kv_budget_bytes=host_kv_budget_bytes,
-                overlap_swap_transfers=overlap_swap_transfers,
-                fast_forward=fast_forward,
-                prefix_caching=prefix_caching,
-                tracer=tracer,
-                trace_replica=replica_id,
+                engine, tracer=tracer, trace_replica=replica_id, **scheduler_options
             )
             self.replicas.append(Replica(replica_id, role, engine, scheduler))
             if tracer is not None:

@@ -202,7 +202,6 @@ class ServingEngine:
         tp_degree: int = 1,
         memo_cache_entries: int = _MEMO_CACHE_ENTRIES,
         backend: Optional[KernelBackend] = None,
-        tracer=None,
     ):
         self.system: SystemProfile = system if isinstance(system, SystemProfile) else get_system(system)
         self.model: ModelConfig = model if isinstance(model, ModelConfig) else get_model(model)
@@ -264,12 +263,6 @@ class ServingEngine:
         # measurable share of the scheduler-simulation profile).
         self._kernel_params = self.backend.gemm_cost_params
         self._reference_params = self.backend.reference_cost_params
-        # Telemetry: registering with a tracer routes cache_stats() into the run summary
-        # (the engine emits no events of its own — its costs appear via the scheduler's
-        # iteration / fast-forward spans).  Schedulers also register their engine, so a
-        # tracer passed at either layer ends up attached exactly once.
-        if tracer is not None:
-            tracer.attach_engine(self)
 
     # ------------------------------------------------------------------ cache introspection
     def cache_stats(self) -> Dict[str, Dict[str, int]]:

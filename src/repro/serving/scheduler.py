@@ -220,7 +220,9 @@ class ContinuousBatchingScheduler:
     knobs for KV-pressure studies.  ``overlap_swap_transfers`` overlaps KV swap traffic with
     compute: an iteration is charged ``max(step_compute, pending_transfers)`` instead of
     their sum (the serialized model), matching runtimes that issue swap DMAs on a side
-    stream.
+    stream.  These keyword options are declared here only:
+    :class:`~repro.serving.cluster.ServingCluster`, ``RunSpec.scheduler_options`` and the
+    ``simulate_*`` wrappers forward them by name.
 
     Two driving modes share one core:
 
@@ -295,6 +297,8 @@ class ContinuousBatchingScheduler:
         self._tracer = tracer
         self._trace_replica = trace_replica
         if tracer is not None:
+            # Routes the engine's cache_stats() into the run summary (the engine emits no
+            # events of its own); replicas sharing one engine register it once.
             tracer.attach_engine(engine)
         self.begin()
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 __all__ = ["SystemProfile", "ClusterSpec", "SYSTEMS", "get_system", "list_systems",
            "TABLE1_SYSTEMS", "REPLICA_ROLE_MIXED", "REPLICA_ROLE_PREFILL",
@@ -161,6 +161,25 @@ class ClusterSpec:
     @property
     def default_router(self) -> str:
         return "disaggregated" if self.mode == "disaggregated" else "round-robin"
+
+    @property
+    def label(self) -> str:
+        """Short shape name: ``colocated-N`` or ``disaggregated-Pp+Dd``."""
+        if self.mode == "colocated":
+            return f"colocated-{self.colocated_replicas}"
+        return f"disaggregated-{self.num_prefill_replicas}p+{self.num_decode_replicas}d"
+
+    @staticmethod
+    def from_shape(shape: Mapping[str, Any]) -> Optional["ClusterSpec"]:
+        """The spec a plain shape dict names; ``None`` for ``{"mode": "single"}``.
+
+        ``None``-valued fields and a ``label`` key are dropped, so an unset field takes
+        this class's default — the one place the cluster-shape defaults live.
+        """
+        fields = {k: v for k, v in shape.items() if k != "label" and v is not None}
+        if fields.get("mode", "single") == "single":
+            return None
+        return ClusterSpec(**fields)
 
 
 #: Deployed bytes per parameter for the two-level 4-bit formats: 4-bit codes plus one byte of

@@ -15,13 +15,14 @@ experiment platform:
   cell's workload never depends on grid position: adding a policy to the grid leaves every
   other cell's trace (and therefore its results) byte-identical.
 * **Process-parallel execution** — :func:`run_sweep` fans cells over a
-  ``ProcessPoolExecutor``; each worker process keeps a per-process
-  :class:`~repro.serving.engine.ServingEngine` cache keyed by (system, kernel, kv_format,
-  model, device, tp), so the engine's bounded step-cost memos stay warm across the cells
-  that share a
-  configuration.  Results are returned in cell order regardless of completion order, and a
-  serial run of the same grid produces the byte-identical payload (modulo wall-clock
-  fields) — the determinism contract the benchmark harness gates on.
+  ``ProcessPoolExecutor``; each cell carries the :class:`~repro.core.api.RunSpec` it
+  runs, and each worker process keeps a per-process
+  :class:`~repro.serving.engine.ServingEngine` cache keyed by (system profile after the
+  kernel / KV-format overrides, model, device, tp), so the engine's bounded step-cost
+  memos stay warm across the cells that share a configuration.  Results are returned in
+  cell order regardless of completion order, and a serial run of the same grid produces
+  the byte-identical payload (modulo wall-clock fields) — the determinism contract the
+  benchmark harness gates on.
 * **Schema-validated consolidated JSON** — the payload matches :data:`SWEEP_SCHEMA`
   (validated before it is returned or written), so downstream tooling can rely on its
   shape the way it relies on ``BENCH_scheduler.json``.
@@ -46,20 +47,19 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .backend import available_kernels, available_kv_formats, scheme_output_rmse, weight_quant_scheme
+from .core.api import RunSpec, run
 from .reporting.schema import validate_payload
-from .serving.cluster import ServingCluster
 from .serving.engine import ServingEngine
 from .serving.metrics import SloSpec
 from .serving.models import list_models
-from .serving.scheduler import ContinuousBatchingScheduler
+from .serving.policies import PREEMPTION_POLICIES, SCHEDULING_POLICIES
 from .serving.systems import ClusterSpec, SystemProfile, get_system, list_systems
 from .telemetry import Tracer, request_breakdowns, write_chrome_trace, write_summary
 from .workloads.traces import (
     SHAREGPT_OUTPUTS,
     SHAREGPT_PROMPTS,
-    ArrivalProcess,
     LengthDistribution,
-    generate_trace,
+    WorkloadSpec,
 )
 
 __all__ = [
@@ -150,15 +150,9 @@ def derive_cell_seed(base_seed: int, cell_key: str) -> int:
 
 
 def _cluster_label(shape: Dict[str, Any]) -> str:
-    mode = shape.get("mode", "single")
-    if mode == "single":
-        return "single"
-    if mode == "colocated":
-        return f"colocated-{shape.get('num_replicas', 2)}"
-    return (
-        f"disaggregated-{shape.get('num_prefill_replicas', 1)}p"
-        f"+{shape.get('num_decode_replicas', 1)}d"
-    )
+    """``single``, ``colocated-N`` or ``disaggregated-Pp+Dd``: the shape as served."""
+    cluster = ClusterSpec.from_shape(shape)
+    return "single" if cluster is None else cluster.label
 
 
 @dataclass(frozen=True)
@@ -170,6 +164,8 @@ class SweepGrid:
     ``{"mode": "single"}`` (one replica, no cluster layer),
     ``{"mode": "colocated", "num_replicas": N, "router": name?}`` or
     ``{"mode": "disaggregated", "num_prefill_replicas": P, "num_decode_replicas": D}``.
+    Omitted or ``None`` fields take :class:`~repro.serving.systems.ClusterSpec`'s defaults,
+    and a cell's label, seed and GPU count follow the shape as served.
     """
 
     systems: Sequence[str] = ("liquidserve",)
@@ -234,8 +230,13 @@ class SweepGrid:
         }
 
     def cells(self) -> List[Dict[str, Any]]:
-        """Expand the grid into its cell list (deterministic, index-ordered)."""
+        """Expand the grid into its cell list (deterministic, index-ordered).
+
+        Each cell carries the :class:`~repro.core.api.RunSpec` it runs under ``"spec"``
+        (so workers need no grid object) next to the axis values its result row reports.
+        """
         cells: List[Dict[str, Any]] = []
+        traced = set(self.trace_cells)
         for index, (model, system, kernel, kv_format, scheduling, preemption, rate, shape) in enumerate(
             itertools.product(
                 self.models,
@@ -258,35 +259,45 @@ class SweepGrid:
                 key += f"|kernel={kernel}"
             if kv_format is not None:
                 key += f"|kvfmt={kv_format}"
-            cells.append(
-                {
-                    "index": index,
-                    "system": system,
-                    "model": model,
-                    "kernel": kernel,
-                    "kv_format": kv_format,
-                    "scheduling_policy": scheduling,
-                    "preemption_policy": preemption,
-                    "arrival_rate_rps": float(rate),
-                    "cluster": dict(shape),
-                    "seed": derive_cell_seed(self.base_seed, key),
-                    # Shared knobs travel with the cell so workers need no grid object.
-                    "num_requests": self.num_requests,
-                    "device": self.device,
-                    "tp_degree": self.tp_degree,
-                    "prompt_lengths": self.prompt_lengths,
-                    "output_lengths": self.output_lengths,
-                    "kv_budget_bytes": self.kv_budget_bytes,
-                    "host_kv_budget_bytes": self.host_kv_budget_bytes,
-                    "num_priority_levels": self.num_priority_levels,
-                    "prefix_caching": self.prefix_caching,
-                    "shared_prefix_tokens": self.shared_prefix_tokens,
-                    "slo_ttft_s": self.slo_ttft_s,
-                    "slo_tpot_s": self.slo_tpot_s,
-                    "trace": index in set(self.trace_cells),
-                    "trace_dir": self.trace_dir,
-                }
+            cell = {
+                "index": index,
+                "system": system,
+                "model": model,
+                "kernel": kernel,
+                "kv_format": kv_format,
+                "scheduling_policy": scheduling,
+                "preemption_policy": preemption,
+                "arrival_rate_rps": float(rate),
+                "cluster": dict(shape),
+                "seed": derive_cell_seed(self.base_seed, key),
+                "trace": index in traced,
+                "trace_dir": self.trace_dir,
+            }
+            cell["spec"] = RunSpec(
+                resolve_cell_profile(cell),
+                model,
+                device=self.device,
+                tp_degree=self.tp_degree,
+                cluster=ClusterSpec.from_shape(shape),
+                workload=WorkloadSpec(
+                    self.num_requests,
+                    float(rate),
+                    prompt_lengths=self.prompt_lengths,
+                    output_lengths=self.output_lengths,
+                    seed=cell["seed"],
+                    num_priority_levels=self.num_priority_levels,
+                    shared_prefix_tokens=self.shared_prefix_tokens,
+                ),
+                scheduler_options=dict(
+                    scheduling_policy=scheduling,
+                    preemption_policy=preemption,
+                    kv_budget_bytes=self.kv_budget_bytes,
+                    host_kv_budget_bytes=self.host_kv_budget_bytes,
+                    prefix_caching=self.prefix_caching,
+                ),
+                slo=SloSpec(ttft_s=self.slo_ttft_s, tpot_s=self.slo_tpot_s),
             )
+            cells.append(cell)
         return cells
 
 
@@ -302,25 +313,16 @@ def resolve_cell_profile(cell: Dict[str, Any]) -> SystemProfile:
 
 
 # Per-process engine cache: worker processes live for the whole sweep, so cells sharing a
-# (system, kernel, kv_format, model, device, tp) configuration reuse one engine — and its
-# bounded step-cost memos — instead of rebuilding the cost model per cell.
-_ENGINE_CACHE: Dict[
-    Tuple[str, Optional[str], Optional[str], str, str, int], ServingEngine
-] = {}
+# (system profile, model, device, tp) configuration reuse one engine — and its bounded
+# step-cost memos — instead of rebuilding the cost model per cell.
+_ENGINE_CACHE: Dict[Tuple[SystemProfile, str, str, int], ServingEngine] = {}
 
 
-def _cached_engine(cell: Dict[str, Any]) -> ServingEngine:
-    key = (
-        cell["system"], cell.get("kernel"), cell.get("kv_format"),
-        cell["model"], cell["device"], cell["tp_degree"],
-    )
+def _cached_engine(spec: RunSpec) -> ServingEngine:
+    key = (spec.system, spec.model, spec.device, spec.tp_degree)
     engine = _ENGINE_CACHE.get(key)
     if engine is None:
-        profile = resolve_cell_profile(cell)
-        engine = ServingEngine(
-            profile, cell["model"], device=cell["device"], tp_degree=cell["tp_degree"]
-        )
-        _ENGINE_CACHE[key] = engine
+        engine = _ENGINE_CACHE[key] = spec.build_engine()
     return engine
 
 
@@ -331,72 +333,11 @@ def _run_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
     in the cell dict; the only cross-cell state is the pure per-process engine cache.
     """
     start = time.perf_counter()
-    engine = _cached_engine(cell)
-    trace = generate_trace(
-        cell["num_requests"],
-        ArrivalProcess(rate_rps=cell["arrival_rate_rps"]),
-        cell["prompt_lengths"] or SHAREGPT_PROMPTS,
-        cell["output_lengths"] or SHAREGPT_OUTPUTS,
-        seed=cell["seed"],
-        num_priority_levels=cell["num_priority_levels"],
-        shared_prefix_tokens=cell["shared_prefix_tokens"],
-    )
-    slo = SloSpec(ttft_s=cell["slo_ttft_s"], tpot_s=cell["slo_tpot_s"])
-    shape = cell["cluster"]
-    tracer = (
-        Tracer(label=f"cell{cell['index']:03d}") if cell.get("trace") else None
-    )
-    scheduler_kwargs = dict(
-        scheduling_policy=cell["scheduling_policy"],
-        preemption_policy=cell["preemption_policy"],
-        kv_budget_bytes=cell["kv_budget_bytes"],
-        host_kv_budget_bytes=cell["host_kv_budget_bytes"],
-        prefix_caching=cell["prefix_caching"],
-        tracer=tracer,
-    )
-    if shape.get("mode", "single") == "single":
-        if tracer is not None:
-            tracer.set_replica_role(0, "single")
-        scheduler = ContinuousBatchingScheduler(engine, **scheduler_kwargs)
-        stats = scheduler.run(trace)
-        report = stats.slo_report(slo)
-        iterations = stats.num_iterations
-        all_stats = [stats]
-        metrics_source = dict(
-            completed_requests=stats.completed_requests,
-            generated_tokens=stats.generated_tokens,
-            throughput=stats.throughput_tokens_per_s,
-            simulated_time_s=stats.simulated_time_s,
-            preemptions=stats.preemptions,
-        )
-    else:
-        spec = ClusterSpec(
-            mode=shape["mode"],
-            num_replicas=shape.get("num_replicas"),
-            num_prefill_replicas=shape.get("num_prefill_replicas", 1),
-            num_decode_replicas=shape.get("num_decode_replicas", 1),
-            router=shape.get("router"),
-        )
-        cluster = ServingCluster(
-            cell["system"],
-            cell["model"],
-            spec,
-            device=cell["device"],
-            tp_degree=cell["tp_degree"],
-            engine=engine,
-            **scheduler_kwargs,
-        )
-        result = cluster.run(trace)
-        report = result.slo_report(slo)
-        iterations = sum(s.num_iterations for s in result.replica_stats)
-        all_stats = list(result.replica_stats)
-        metrics_source = dict(
-            completed_requests=result.completed_requests,
-            generated_tokens=result.generated_tokens,
-            throughput=result.throughput_tokens_per_s,
-            simulated_time_s=result.simulated_time_s,
-            preemptions=sum(s.preemptions for s in result.replica_stats),
-        )
+    spec: RunSpec = cell["spec"]
+    engine = _cached_engine(spec)
+    tracer = Tracer(label=f"cell{cell['index']:03d}") if cell["trace"] else None
+    result = run(spec, engine=engine, tracer=tracer)
+    report = result.slo_report(spec.slo)
     wall_s = time.perf_counter() - start
     trace_files: Optional[Dict[str, str]] = None
     if tracer is not None:
@@ -405,7 +346,7 @@ def _run_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
         stem = os.path.join(out_dir, f"cell{cell['index']:03d}")
         breakdowns = request_breakdowns(tracer)
         write_chrome_trace(tracer, stem + ".trace.json", breakdowns)
-        write_summary(tracer, stem + ".summary.json", all_stats, breakdowns)
+        write_summary(tracer, stem + ".summary.json", result.replica_stats, breakdowns)
         trace_files = {
             "chrome_trace": stem + ".trace.json",
             "summary": stem + ".summary.json",
@@ -424,12 +365,12 @@ def _run_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
         "kv_format": engine.system.kv_format,
         "wall_time_s": round(wall_s, 4),
         "metrics": {
-            "completed_requests": metrics_source["completed_requests"],
-            "generated_tokens": metrics_source["generated_tokens"],
-            "throughput_tokens_per_s": round(metrics_source["throughput"], 1),
-            "simulated_time_s": round(metrics_source["simulated_time_s"], 6),
-            "iterations": iterations,
-            "preemptions": metrics_source["preemptions"],
+            "completed_requests": result.completed_requests,
+            "generated_tokens": result.generated_tokens,
+            "throughput_tokens_per_s": round(result.throughput_tokens_per_s, 1),
+            "simulated_time_s": round(result.simulated_time_s, 6),
+            "iterations": sum(s.num_iterations for s in result.replica_stats),
+            "preemptions": sum(s.preemptions for s in result.replica_stats),
             "p50_ttft_s": round(report.p50_ttft_s, 6),
             "p99_ttft_s": round(report.p99_ttft_s, 6),
             "p99_tpot_s": round(report.p99_tpot_s, 7),
@@ -446,16 +387,8 @@ def _run_cell(cell: Dict[str, Any]) -> Dict[str, Any]:
 
 def _cell_gpus(cluster: Dict[str, Any], tp_degree: int) -> int:
     """GPU count a cell occupies: replicas in its cluster shape x tensor-parallel degree."""
-    mode = cluster.get("mode", "single")
-    if mode == "single":
-        replicas = 1
-    elif mode == "colocated":
-        replicas = cluster.get("num_replicas") or 2
-    else:
-        replicas = cluster.get("num_prefill_replicas", 1) + cluster.get(
-            "num_decode_replicas", 1
-        )
-    return replicas * tp_degree
+    spec = ClusterSpec.from_shape(cluster)
+    return (1 if spec is None else spec.total_replicas) * tp_degree
 
 
 def compute_frontier(results: Sequence[Dict[str, Any]], tp_degree: int = 1) -> Dict[str, Any]:
@@ -623,6 +556,8 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         parser, "--kv-formats",
         [f for f in args.kv_formats if f != "default"], available_kv_formats(),
     )
+    _validate_choices(parser, "--scheduling", args.scheduling, sorted(SCHEDULING_POLICIES))
+    _validate_choices(parser, "--preemption", args.preemption, sorted(PREEMPTION_POLICIES))
     grid = SweepGrid(
         systems=tuple(args.systems),
         models=tuple(args.models),

@@ -1,9 +1,8 @@
 """Telemetry: structured event tracing, gauge sampling, and timeline export.
 
 Thread a :class:`Tracer` through the serving stack (``tracer=`` on
-:class:`~repro.serving.engine.ServingEngine`,
 :class:`~repro.serving.scheduler.ContinuousBatchingScheduler`,
-:class:`~repro.serving.cluster.ServingCluster`,
+:class:`~repro.serving.cluster.ServingCluster`, :func:`~repro.core.api.run`,
 :func:`~repro.core.api.simulate_serving` / :func:`~repro.core.api.simulate_cluster`,
 or per-cell on :class:`~repro.sweep.SweepGrid`), then export:
 

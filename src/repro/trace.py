@@ -32,7 +32,8 @@ from typing import Any, Dict, Optional, Sequence
 
 from .serving.metrics import SloSpec
 from .serving.models import list_models
-from .serving.systems import list_systems
+from .serving.policies import PREEMPTION_POLICIES, SCHEDULING_POLICIES
+from .serving.systems import ClusterSpec, list_systems
 from .telemetry import (
     PHASES,
     Tracer,
@@ -41,48 +42,45 @@ from .telemetry import (
     write_chrome_trace,
     write_summary,
 )
+from .workloads.traces import WorkloadSpec
 
 __all__ = ["main", "run_traced"]
 
 
+def _mib(value: Optional[int]) -> Optional[int]:
+    return None if value is None else value * 2**20
+
+
 def run_traced(args: argparse.Namespace) -> Dict[str, Any]:
     """Run the configured simulation with a tracer attached; returns report inputs."""
-    from .core.api import simulate_cluster, simulate_serving
+    from .core.api import RunSpec, run
 
     tracer = Tracer(sample_interval_s=args.sample_interval_s, label=args.label)
-    common = dict(
+    spec = RunSpec(
+        args.system,
+        args.model,
         device=args.device,
-        num_requests=args.num_requests,
-        arrival_rate_rps=args.rate,
-        seed=args.seed,
-        scheduling_policy=args.scheduling,
-        preemption_policy=args.preemption,
-        kv_budget_bytes=args.kv_budget_mb * 2**20 if args.kv_budget_mb else None,
-        host_kv_budget_bytes=(
-            args.host_kv_budget_mb * 2**20 if args.host_kv_budget_mb else None
+        cluster=ClusterSpec.from_shape({
+            "mode": args.mode,
+            "num_replicas": args.num_replicas,
+            "num_prefill_replicas": args.num_prefill_replicas,
+            "num_decode_replicas": args.num_decode_replicas,
+        }),
+        workload=WorkloadSpec(
+            args.num_requests, args.rate, seed=args.seed,
+            shared_prefix_tokens=args.shared_prefix_tokens,
         ),
-        prefix_caching=args.prefix_caching,
-        shared_prefix_tokens=args.shared_prefix_tokens,
+        scheduler_options=dict(
+            scheduling_policy=args.scheduling,
+            preemption_policy=args.preemption,
+            kv_budget_bytes=_mib(args.kv_budget_mb),
+            host_kv_budget_bytes=_mib(args.host_kv_budget_mb),
+            prefix_caching=args.prefix_caching,
+        ),
         slo=SloSpec(ttft_s=args.slo_ttft_s, tpot_s=args.slo_tpot_s),
-        tracer=tracer,
     )
-    if args.mode == "single":
-        sim = simulate_serving(args.system, args.model, **common)
-        stats = [sim.stats]
-    elif args.mode == "colocated":
-        sim = simulate_cluster(
-            args.system, args.model, mode="colocated",
-            num_replicas=args.num_replicas, **common,
-        )
-        stats = list(sim.replica_stats)
-    else:
-        sim = simulate_cluster(
-            args.system, args.model, mode="disaggregated",
-            num_prefill_replicas=args.num_prefill_replicas,
-            num_decode_replicas=args.num_decode_replicas, **common,
-        )
-        stats = list(sim.replica_stats)
-    return {"tracer": tracer, "sim": sim, "stats": stats}
+    result = run(spec, tracer=tracer)
+    return {"tracer": tracer, "result": result, "stats": result.replica_stats}
 
 
 def _print_report(
@@ -130,16 +128,19 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser.add_argument("--device", default="H800")
     parser.add_argument("--mode", default="single",
                         choices=["single", "colocated", "disaggregated"])
-    parser.add_argument("--num-replicas", type=int, default=2,
-                        help="replica count for --mode colocated")
-    parser.add_argument("--num-prefill-replicas", type=int, default=1)
-    parser.add_argument("--num-decode-replicas", type=int, default=1)
+    parser.add_argument("--num-replicas", type=int, default=None,
+                        help="replica count for --mode colocated (default 2)")
+    parser.add_argument("--num-prefill-replicas", type=int, default=None,
+                        help="prefill replicas for --mode disaggregated (default 1)")
+    parser.add_argument("--num-decode-replicas", type=int, default=None,
+                        help="decode replicas for --mode disaggregated (default 1)")
     parser.add_argument("--num-requests", type=int, default=200)
     parser.add_argument("--rate", type=float, default=10.0,
                         help="mean arrival rate (requests/s)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--scheduling", default="fcfs")
-    parser.add_argument("--preemption", default="recompute")
+    parser.add_argument("--scheduling", default="fcfs", choices=sorted(SCHEDULING_POLICIES))
+    parser.add_argument("--preemption", default="recompute",
+                        choices=sorted(PREEMPTION_POLICIES))
     parser.add_argument("--kv-budget-mb", type=int, default=None,
                         help="device KV pool override (MiB)")
     parser.add_argument("--host-kv-budget-mb", type=int, default=None,

@@ -12,6 +12,7 @@ from .traces import (
     SHAREGPT_PROMPTS,
     ArrivalProcess,
     LengthDistribution,
+    WorkloadSpec,
     agent_swarm_trace,
     generate_trace,
     merge_traces,
@@ -32,6 +33,7 @@ __all__ = [
     "SHAREGPT_PROMPTS",
     "SHAREGPT_OUTPUTS",
     "generate_trace",
+    "WorkloadSpec",
     "sharegpt_trace",
     "merge_traces",
     "multi_turn_chat_trace",

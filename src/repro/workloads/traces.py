@@ -31,6 +31,7 @@ __all__ = [
     "SHAREGPT_PROMPTS",
     "SHAREGPT_OUTPUTS",
     "generate_trace",
+    "WorkloadSpec",
     "sharegpt_trace",
     "merge_traces",
     "multi_turn_chat_trace",
@@ -251,17 +252,45 @@ def merge_traces(*traces: Sequence["Request"], reassign_ids: bool = True) -> Lis
     return renumbered
 
 
+@dataclass(frozen=True)
+class WorkloadSpec:
+    """One generated trace, declared once: the workload half of a serving run.
+
+    Arrivals are Poisson at ``arrival_rate_rps`` (Gamma when ``arrival_cv != 1``); lengths
+    are the ShareGPT presets unless ``prompt_lengths`` / ``output_lengths`` override them;
+    ``num_priority_levels > 1`` samples request priorities (for the 'priority' scheduling
+    policy) and ``shared_prefix_tokens > 0`` stamps every request with a common shareable
+    system prompt (see :func:`generate_trace`).  :meth:`trace` is deterministic under
+    ``seed``.
+    """
+
+    num_requests: int = 500
+    arrival_rate_rps: float = 10.0
+    arrival_cv: float = 1.0
+    prompt_lengths: Optional[LengthDistribution] = None
+    output_lengths: Optional[LengthDistribution] = None
+    seed: int = 0
+    num_priority_levels: int = 1
+    shared_prefix_tokens: int = 0
+
+    def trace(self) -> List["Request"]:
+        """Generate the trace this spec describes."""
+        return generate_trace(
+            self.num_requests,
+            ArrivalProcess(rate_rps=self.arrival_rate_rps, cv=self.arrival_cv),
+            self.prompt_lengths or SHAREGPT_PROMPTS,
+            self.output_lengths or SHAREGPT_OUTPUTS,
+            seed=self.seed,
+            num_priority_levels=self.num_priority_levels,
+            shared_prefix_tokens=self.shared_prefix_tokens,
+        )
+
+
 def sharegpt_trace(num_requests: int, rate_rps: float, seed: int = 0,
                    cv: float = 1.0, num_priority_levels: int = 1) -> List["Request"]:
     """A ShareGPT-like long-tail trace with Poisson (or Gamma, ``cv != 1``) arrivals."""
-    return generate_trace(
-        num_requests,
-        ArrivalProcess(rate_rps=rate_rps, cv=cv),
-        SHAREGPT_PROMPTS,
-        SHAREGPT_OUTPUTS,
-        seed=seed,
-        num_priority_levels=num_priority_levels,
-    )
+    return WorkloadSpec(num_requests, rate_rps, cv, seed=seed,
+                        num_priority_levels=num_priority_levels).trace()
 
 
 # ---------------------------------------------------------------------- shared prefixes

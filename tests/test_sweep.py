@@ -7,6 +7,7 @@ change a surviving cell's numbers.  These tests pin that, plus the payload schem
 benchmark harness and CI artifacts rely on.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -55,8 +56,6 @@ class TestGridExpansion:
         """Growing the grid must not reseed surviving cells: seeds derive from the
         parameter key, so every (preemption, shape) combination keeps its seed when a
         scheduling policy is added."""
-        import dataclasses
-
         grown = dataclasses.replace(SMALL_GRID, scheduling_policies=("fcfs", "sjf"))
         base = {
             (c["scheduling_policy"], c["preemption_policy"], c["cluster"]["mode"],
@@ -241,6 +240,50 @@ class TestFrontier:
         assert frontier["dominated_cells"] == 1
 
 
+class TestClusterShapes:
+    """A cell's label, seed and GPU count follow the shape its ClusterSpec serves."""
+
+    @pytest.mark.parametrize(
+        "shape, label",
+        [
+            (SINGLE_REPLICA, "single"),
+            ({"mode": "colocated"}, "colocated-2"),
+            ({"mode": "colocated", "num_replicas": 3, "router": "least-tokens"}, "colocated-3"),
+            ({"mode": "disaggregated"}, "disaggregated-1p+1d"),
+            (
+                {"mode": "disaggregated", "num_prefill_replicas": 2, "num_decode_replicas": 3},
+                "disaggregated-2p+3d",
+            ),
+        ],
+    )
+    def test_labels_and_seeds_in_use_are_unchanged(self, shape, label):
+        grid = SweepGrid(cluster_shapes=(shape,))
+        assert grid.describe()["cluster_shapes"] == [label]
+        assert grid.cells()[0]["seed"] == derive_cell_seed(
+            0,
+            "model=llama2-7b|system=liquidserve|scheduling=fcfs"
+            f"|preemption=recompute|rate=10|cluster={label}",
+        )
+
+    def test_unset_replica_count_is_labelled_as_served(self):
+        grid = SweepGrid(
+            cluster_shapes=({"mode": "colocated", "num_replicas": None},),
+            num_requests=5,
+            arrival_rates_rps=(20.0,),
+        )
+        explicit = dataclasses.replace(
+            grid, cluster_shapes=({"mode": "colocated", "num_replicas": 2},)
+        )
+        cell = grid.cells()[0]
+        assert cell["spec"].cluster.total_replicas == 2
+        assert cell["seed"] == explicit.cells()[0]["seed"]
+        payload = run_sweep(grid, parallel=False)
+        row = payload["cells"][0]
+        assert row["cluster"]["label"] == "colocated-2"
+        assert payload["frontier"]["points"][0]["gpus"] == 2
+        assert row["metrics"] == run_sweep(explicit, parallel=False)["cells"][0]["metrics"]
+
+
 class TestCliValidation:
     """Unknown registry names fail fast at argparse time, listing what exists."""
 
@@ -251,6 +294,8 @@ class TestCliValidation:
             (["--models", "nope"], "unknown --models"),
             (["--kernels", "nope"], "unknown --kernels"),
             (["--kv-formats", "nope"], "unknown --kv-formats"),
+            (["--scheduling", "nope"], "unknown --scheduling"),
+            (["--preemption", "nope"], "unknown --preemption"),
         ],
     )
     def test_unknown_names_exit_with_listing(self, argv, fragment, capsys):

@@ -15,6 +15,7 @@ import repro.trace as trace_cli
 from repro.core import simulate_cluster, simulate_serving
 from repro.reporting.schema import validate_payload
 from repro.serving.engine import ServingEngine
+from repro.serving.scheduler import ContinuousBatchingScheduler
 from repro.telemetry import (
     PHASES,
     TELEMETRY_SUMMARY_SCHEMA,
@@ -58,8 +59,9 @@ class TestTracer:
 
     def test_engine_attach_is_identity_deduped(self):
         tracer = Tracer()
-        engine = ServingEngine("liquidserve", "llama2-7b", tracer=tracer)
-        tracer.attach_engine(engine)  # the scheduler would do this again
+        engine = ServingEngine("liquidserve", "llama2-7b")
+        ContinuousBatchingScheduler(engine, tracer=tracer)
+        tracer.attach_engine(engine)  # a second replica sharing the engine does this again
         assert len(tracer._engines) == 1
 
 
@@ -266,9 +268,10 @@ class TestTraceCli:
         summary = json.loads(summary_out.read_text())
         validate_payload(summary, TELEMETRY_SUMMARY_SCHEMA)
 
-    def test_cli_cluster_mode(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["colocated", "disaggregated"])
+    def test_cli_cluster_mode(self, mode, tmp_path, capsys):
         trace_cli.main([
-            "--mode", "disaggregated", "--num-requests", "20", "--rate", "15",
+            "--mode", mode, "--num-requests", "20", "--rate", "15",
             "--trace-out", str(tmp_path / "t.json"), "--top", "2",
         ])
         assert "exact tiling: True" in capsys.readouterr().out
@@ -276,6 +279,36 @@ class TestTraceCli:
     def test_cli_rejects_unknown_system(self):
         with pytest.raises(SystemExit):
             trace_cli.main(["--system", "definitely-not-a-system"])
+
+    @pytest.mark.parametrize("flag", ["--scheduling", "--preemption"])
+    def test_cli_rejects_unknown_policy_listing_known_ones(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            trace_cli.main([flag, "nope"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        known = "'fcfs'" if flag == "--scheduling" else "'recompute'"
+        assert "invalid choice: 'nope'" in err and known in err
+
+    KV_PRESSURE = ["--num-requests", "60", "--rate", "20", "--seed", "3",
+                   "--preemption", "swap", "--kv-budget-mb", "1024"]
+
+    def _swaps_and_preemptions(self, tmp_path, *extra):
+        summary_out = tmp_path / "summary.json"
+        trace_cli.main(self.KV_PRESSURE + list(extra) + [
+            "--trace-out", str(tmp_path / "t.json"), "--summary-out", str(summary_out),
+        ])
+        summary = json.loads(summary_out.read_text())
+        return summary["event_counts"].get("swap_out", 0), summary["preemptions"]["total"]
+
+    def test_cli_zero_host_budget_disables_swapping(self, tmp_path, capsys):
+        """``--host-kv-budget-mb 0`` is a 0-byte swap pool, not "use the default"."""
+        assert self._swaps_and_preemptions(tmp_path) == (73, 73)
+        assert self._swaps_and_preemptions(tmp_path, "--host-kv-budget-mb", "0") == (0, 87)
+
+    def test_cli_zero_kv_budget_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="kv_budget_bytes must be positive"):
+            trace_cli.main(["--num-requests", "5", "--kv-budget-mb", "0",
+                            "--trace-out", str(tmp_path / "t.json")])
 
 
 class TestSweepTracing:
