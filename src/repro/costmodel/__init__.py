@@ -2,6 +2,7 @@
 
 from .model import (
     CostBreakdown,
+    GemmLine,
     GemmShape,
     KernelCostParams,
     PipelineMode,
@@ -19,6 +20,7 @@ from .roofline import (
 
 __all__ = [
     "CostBreakdown",
+    "GemmLine",
     "GemmShape",
     "KernelCostParams",
     "PipelineMode",

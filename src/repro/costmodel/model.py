@@ -16,6 +16,12 @@ terms combine depends on the kernel's pipeline organisation, captured by
   achieves): the iteration cost is the *maximum* of the three terms;
 * ``NO_OVERLAP``     — nothing overlaps (a strawman used by the ablation baseline).
 
+Equation 6 is written once, in :class:`GemmLine`: for a fixed weight shape ``(N, K)``,
+kernel and GPU it resolves the M-independent terms (``T_LD``, ``T_DQ``, the Tensor-Core
+rate, the epilogue and launch constants) and prices any M with a few float operations.
+:func:`gemm_cost` is one line evaluation with the full :class:`CostBreakdown`; the serving
+engine keeps one line per layer GEMM and prices every iteration's token count through it.
+
 All throughputs come from :class:`repro.gpu.specs.GpuSpec`, so the same module reproduces the
 paper's §3.3 numbers (memory/compute transition batch sizes, the ``alpha <= 5.07`` budget)
 and feeds every kernel's latency estimate.
@@ -34,6 +40,7 @@ __all__ = [
     "GemmShape",
     "KernelCostParams",
     "CostBreakdown",
+    "GemmLine",
     "gemm_cost",
     "transition_batch_size",
     "alpha_budget",
@@ -145,54 +152,105 @@ def _weight_load_throughput(gpu: GpuSpec, params: KernelCostParams) -> float:
     return gpu.memory_bandwidth * params.bandwidth_efficiency / bytes_per_element
 
 
+class GemmLine:
+    """Equation 6 for one weight shape ``(N, K)`` under one kernel on one GPU, as a function of M.
+
+    Everything that does not depend on M is resolved once: the per-tile weight load
+    ``T_LD`` and dequantization ``T_DQ``, the Tensor-Core rate, the epilogue rate, the
+    launch constant and the per-M-tile cost of a full tile.  :meth:`total` then prices an
+    ``M x N x K`` GEMM with a handful of float operations, and :meth:`breakdown` returns the
+    full :class:`CostBreakdown` that :func:`gemm_cost` reports.
+
+    The activation-load term of Equation 3 is dropped as in the paper (activations are
+    small and reused from fast memory); the epilogue term is retained because it is what
+    converts INT32 accumulators back to FP16 and applies first-level scales, and it matters
+    for very small K.
+    """
+
+    __slots__ = ("n", "k", "params", "t_load", "t_dequant", "_nk", "_phi_tc",
+                 "_phi_fp32", "_full_tile")
+
+    def __init__(self, n: int, k: int, gpu: GpuSpec, params: KernelCostParams):
+        if n <= 0 or k <= 0:
+            raise ValueError("GEMM dimensions must be positive")
+        self.n = n
+        self.k = k
+        self.params = params
+        nk = n * k
+        self._nk = nk
+        self._phi_tc = gpu.tensor_core_throughput(params.mma_precision) * params.tensor_efficiency
+        self._phi_fp32 = gpu.cuda_core_fp32_tops
+        #: Per-M-tile weight load and dequantization (M-independent).
+        self.t_load = nk / _weight_load_throughput(gpu, params)
+        self.t_dequant = (
+            (params.alpha + params.load_overhead_alpha) * nk / gpu.cuda_core_int32_tops
+        )
+        self._full_tile = self._per_m_tile(self._t_mma(params.tile_m))
+
+    def _t_mma(self, m: int) -> float:
+        """Tensor-Core time of one M tile holding ``min(tile_m, m)`` rows."""
+        return min(self.params.tile_m, m) * 2.0 * self._nk / self._phi_tc
+
+    def _t_epilogue(self, m: int) -> float:
+        """Epilogue over the ``m x N`` output (first-level dequant, bias, store)."""
+        return self.params.epilogue_ops_per_output * m * self.n / self._phi_fp32
+
+    def _per_m_tile(self, t_mma: float) -> float:
+        """One M tile's main loop: how load, dequant and MMA combine under the pipeline."""
+        pipeline = self.params.pipeline
+        if pipeline == PipelineMode.FULL_OVERLAP:
+            return max(self.t_load, self.t_dequant, t_mma)
+        if pipeline == PipelineMode.SERIAL_DEQUANT:
+            return max(self.t_load, self.t_dequant + t_mma)
+        return self.t_load + self.t_dequant + t_mma  # NO_OVERLAP
+
+    def total(self, m: int) -> float:
+        """Latency of the ``m x N x K`` GEMM: M tiles, epilogue and launch (Equation 6)."""
+        params = self.params
+        if m >= params.tile_m:
+            main_loop = math.ceil(m / params.tile_m) * self._full_tile
+        elif m > 0:
+            main_loop = self._per_m_tile(self._t_mma(m))  # one partial M tile
+        else:
+            raise ValueError("GEMM dimensions must be positive")
+        return main_loop + self._t_epilogue(m) + params.launch_overhead_s
+
+    def breakdown(self, m: int) -> CostBreakdown:
+        """:meth:`total` split into its Equation-6 terms, with the limiting resource."""
+        params = self.params
+        total = self.total(m)
+        m_tiles = math.ceil(m / params.tile_m)
+        t_load, t_dequant, t_mma = self.t_load, self.t_dequant, self._t_mma(m)
+        if params.pipeline == PipelineMode.FULL_OVERLAP:
+            limiter = {t_load: "memory", t_dequant: "cuda_cores", t_mma: "tensor_cores"}[
+                self._per_m_tile(t_mma)
+            ]
+        elif params.pipeline == PipelineMode.SERIAL_DEQUANT:
+            limiter = "memory" if t_load >= t_dequant + t_mma else (
+                "cuda_cores" if t_dequant > t_mma else "tensor_cores"
+            )
+        else:
+            limiter = "serialized"
+        return CostBreakdown(
+            t_load=m_tiles * t_load,
+            t_dequant=m_tiles * t_dequant,
+            t_mma=m_tiles * t_mma,
+            t_epilogue=self._t_epilogue(m),
+            t_launch=params.launch_overhead_s,
+            total=total,
+            limited_by=limiter,
+            m_tiles=m_tiles,
+            effective_m=min(params.tile_m, m),
+        )
+
+
 def gemm_cost(shape: GemmShape, gpu: GpuSpec, params: KernelCostParams) -> CostBreakdown:
     """Evaluate Equation 6 for one GEMM under a kernel configuration.
 
-    The activation-load term of Equation 3 is dropped as in the paper (activations are small
-    and reused from fast memory); the epilogue term is retained because it is what converts
-    INT32 accumulators back to FP16 and applies first-level scales, and it matters for very
-    small K.
+    One :class:`GemmLine` evaluation; callers that price many M at one ``(N, K)`` keep
+    the line and call :meth:`GemmLine.total`.
     """
-    m_tiles = math.ceil(shape.m / params.tile_m)
-    effective_m = min(params.tile_m, shape.m)
-    nk = shape.weight_elements
-
-    phi_bd = _weight_load_throughput(gpu, params)
-    phi_cuda = gpu.cuda_core_int32_tops
-    phi_tc = gpu.tensor_core_throughput(params.mma_precision) * params.tensor_efficiency
-
-    t_load = nk / phi_bd
-    alpha_total = params.alpha + params.load_overhead_alpha
-    t_dequant = alpha_total * nk / phi_cuda
-    t_mma = effective_m * 2.0 * nk / phi_tc
-
-    if params.pipeline == PipelineMode.FULL_OVERLAP:
-        per_m_tile = max(t_load, t_dequant, t_mma)
-        limiter = {t_load: "memory", t_dequant: "cuda_cores", t_mma: "tensor_cores"}[per_m_tile]
-    elif params.pipeline == PipelineMode.SERIAL_DEQUANT:
-        compute = t_dequant + t_mma
-        per_m_tile = max(t_load, compute)
-        limiter = "memory" if t_load >= compute else (
-            "cuda_cores" if t_dequant > t_mma else "tensor_cores"
-        )
-    else:  # NO_OVERLAP
-        per_m_tile = t_load + t_dequant + t_mma
-        limiter = "serialized"
-
-    t_epilogue = params.epilogue_ops_per_output * shape.m * shape.n / gpu.cuda_core_fp32_tops
-    total = m_tiles * per_m_tile + t_epilogue + params.launch_overhead_s
-
-    return CostBreakdown(
-        t_load=m_tiles * t_load,
-        t_dequant=m_tiles * t_dequant,
-        t_mma=m_tiles * t_mma,
-        t_epilogue=t_epilogue,
-        t_launch=params.launch_overhead_s,
-        total=total,
-        limited_by=limiter,
-        m_tiles=m_tiles,
-        effective_m=effective_m,
-    )
+    return GemmLine(shape.n, shape.k, gpu, params).breakdown(shape.m)
 
 
 def transition_batch_size(gpu: GpuSpec, weight_precision: str, mma_precision: str,

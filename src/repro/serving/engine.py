@@ -4,8 +4,10 @@ The engine composes the substrates built elsewhere in the library, reaching the
 quantization/kernel core exclusively through the unified backend layer
 (:mod:`repro.backend` — one :class:`~repro.backend.KernelBackend` per (system, device)):
 
-* per-layer GEMM latency from the backend's resolved kernel cost parameters on the layer
-  shapes of :mod:`repro.workloads.shapes` — MoE layers become grouped per-expert GEMMs;
+* per-layer GEMM latency from Equation 6 resolved once per engine: one
+  :class:`~repro.costmodel.model.GemmLine` per layer GEMM of :mod:`repro.workloads.shapes`
+  under the backend's kernel (MoE layers become grouped per-expert GEMMs) and one for the
+  LM head under its reference kernel, so a new token count costs a few float operations;
 * attention cost from the decode and chunked-prefill forms of :mod:`repro.serving.attention`
   with the backend's KV-cache bytes-per-element and attention efficiency;
 * an "Others" bucket (element-wise kernels: layer norms, rotary embedding, residuals, SwiGLU
@@ -35,15 +37,16 @@ group (the GPUs run in lockstep, so per-GPU step time is group step time).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..backend import KernelBackend, build_backend
-from ..costmodel.model import GemmShape, gemm_cost
+from ..costmodel.model import GemmLine
 from ..gpu.device import Device
 from ..kernels.base import GemmKernel, as_device
-from ..workloads.shapes import decode_layer_gemms
+from ..workloads.shapes import decode_layer_gemms, moe_expert_batch
 from .attention import (
     _ATTENTION_LAUNCH_OVERHEAD_S,
     _tensor_precision,
@@ -221,18 +224,13 @@ class ServingEngine:
             self.supported = False
         else:
             self.supported = True
-        # Step-cost caches: GEMM/LM-head latency depends only on the iteration token count,
-        # which the request-level simulation hits thousands of times.  Every memo is
-        # bounded (``memo_cache_entries``, FIFO eviction) so a long multi-configuration
-        # sweep reusing one engine cannot grow memory without bound; sizes and eviction
-        # counts are exposed by :meth:`cache_stats`.
-        self._gemm_time_cache: Dict[int, float] = _BoundedMemo(memo_cache_entries)
-        self._lm_head_cache: Dict[int, float] = _BoundedMemo(memo_cache_entries)
-        self._others_time_cache: Dict[int, float] = _BoundedMemo(memo_cache_entries)
-        self._comm_time_cache: Dict[int, float] = _BoundedMemo(memo_cache_entries)
-        # Context-independent terms of one iteration (decode KV write, layer GEMMs,
-        # element-wise kernels, all-reduces, LM head), keyed by the iteration's
-        # (decode batch, total tokens, logits tokens): the few shapes a run repeats.
+        # Two step-cost memos, both bounded (``memo_cache_entries``, FIFO eviction) so a
+        # long multi-configuration sweep reusing one engine cannot grow memory without
+        # bound; sizes and eviction counts are exposed by :meth:`cache_stats`.  The first
+        # holds one iteration's context-independent terms (decode KV write, layer GEMMs,
+        # element-wise kernels, all-reduces, LM head), keyed by the iteration's (decode
+        # batch, total tokens, logits tokens): the few shapes a run repeats.  Each term
+        # is a closed form of a few float operations, so none is memoized on its own.
         self._step_coeff_cache: Dict[
             Tuple[int, int, int], Tuple[float, float, float, float, float]
         ] = _BoundedMemo(memo_cache_entries)
@@ -240,10 +238,6 @@ class ServingEngine:
         # granularity (e.g. (256, 0), (256, 256), ...), so it memoizes on the chunk shape.
         self._chunk_attention_cache: Dict[Tuple[int, int], float] = _BoundedMemo(memo_cache_entries)
         self._memo_caches: Dict[str, _BoundedMemo] = {
-            "layer_gemm": self._gemm_time_cache,
-            "lm_head": self._lm_head_cache,
-            "layer_others": self._others_time_cache,
-            "allreduce": self._comm_time_cache,
             "step_coeffs": self._step_coeff_cache,
             "chunk_attention": self._chunk_attention_cache,
         }
@@ -258,11 +252,24 @@ class ServingEngine:
         self._attn_tc_denom = (
             spec.tensor_core_throughput(_tensor_precision(spec)) * attn_eff
         )
-        # Kernel cost-model parameters are pure functions of the GPU spec; the backend
-        # resolved them once at construction (resolving per GEMM estimate used to be a
-        # measurable share of the scheduler-simulation profile).
-        self._kernel_params = self.backend.gemm_cost_params
-        self._reference_params = self.backend.reference_cost_params
+        # Equation 6 resolved once per weight shape: one GemmLine per layer GEMM (QKV,
+        # output projection, gate+up, down; for MoE the per-expert FFN shapes) under the
+        # system's kernel, and the LM head under the backend's reference kernel (FP16
+        # unless the profile overrides it: logits stay full precision in every system
+        # compared).  Pricing a new token count is then a few float operations per line.
+        gemms = decode_layer_gemms(self.model, 1, tp_degree=self.tp_degree)
+        self._attention_lines = tuple(
+            GemmLine(shape.n, shape.k, spec, self.backend.gemm_cost_params)
+            for shape in gemms.attention_gemms()
+        )
+        self._ffn_lines = tuple(
+            GemmLine(shape.n, shape.k, spec, self.backend.gemm_cost_params)
+            for shape in (gemms.gate_up[0], gemms.down[0])
+        )
+        self._lm_head_line = GemmLine(
+            self.model.vocab_size // self.tp_degree, self.model.hidden_size, spec,
+            self.backend.reference_cost_params,
+        )
 
     # ------------------------------------------------------------------ cache introspection
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
@@ -317,17 +324,12 @@ class ServingEngine:
         """One FP16 ring all-reduce of ``num_tokens`` hidden-state vectors over the TP group."""
         if self.tp_degree == 1 or num_tokens <= 0:
             return 0.0
-        cached = self._comm_time_cache.get(num_tokens)
-        if cached is not None:
-            return cached
         payload = num_tokens * self.model.hidden_size * 2.0
         ring = (
             2.0 * (self.tp_degree - 1) / self.tp_degree * payload
             / self.device.spec.interconnect_bandwidth
         )
-        total = ring + _ALLREDUCE_LATENCY_S
-        self._comm_time_cache[num_tokens] = total
-        return total
+        return ring + _ALLREDUCE_LATENCY_S
 
     def kv_transfer_time(self, num_bytes: float) -> float:
         """One-way KV transfer over the GPU <-> host link (one swap-out or swap-in).
@@ -384,27 +386,18 @@ class ServingEngine:
 
     # ------------------------------------------------------------------ per-layer timing
     def layer_gemm_time(self, num_tokens: int) -> float:
-        """Per-GPU GEMM time of one transformer layer processing ``num_tokens`` tokens."""
-        cached = self._gemm_time_cache.get(num_tokens)
-        if cached is not None:
-            return cached
-        gemms = decode_layer_gemms(self.model, num_tokens, tp_degree=self.tp_degree)
-        # Inlined kernel.estimate(shape).latency_s: the report object, device resolution
-        # and cost-param lookup are skipped, but each shape's latency remains the same
-        # gemm_cost(...).total sum the public estimate API returns.
-        spec = self.device.spec
-        params = self._kernel_params
-        total = 0.0
-        for shape in gemms.attention_gemms():
-            total += gemm_cost(shape, spec, params).total
-        if self.model.is_moe:
-            # Per-expert FFN GEMMs executed as one grouped GEMM (persistent kernel).
-            total += sum(gemm_cost(s, spec, params).total for s in gemms.gate_up)
-            total += sum(gemm_cost(s, spec, params).total for s in gemms.down)
-        else:
-            for shape in gemms.ffn_gemms():
-                total += gemm_cost(shape, spec, params).total
-        self._gemm_time_cache[num_tokens] = total
+        """Per-GPU GEMM time of one transformer layer processing ``num_tokens`` tokens.
+
+        The sum of ``gemm_cost(shape).total`` over :func:`decode_layer_gemms`' shapes,
+        bit for bit: the attention GEMMs run at ``num_tokens`` rows, and each FFN GEMM at
+        :func:`moe_expert_batch` rows once per expert (one expert for a dense model),
+        summed in sequence as one grouped GEMM (persistent kernel) executes them.
+        """
+        qkv, out_proj = self._attention_lines
+        total = qkv.total(num_tokens) + out_proj.total(num_tokens)
+        expert_tokens = moe_expert_batch(num_tokens, self.model)
+        for line in self._ffn_lines:
+            total += sum(repeat(line.total(expert_tokens), self.model.num_experts))
         return total
 
     def layer_attention_time(self, batch_size: int, context_length: int) -> float:
@@ -420,17 +413,12 @@ class ServingEngine:
         ).total
 
     def layer_others_time(self, num_tokens: int) -> float:
-        cached = self._others_time_cache.get(num_tokens)
-        if cached is not None:
-            return cached
         elementwise_bytes = (
             _ELEMENTWISE_PASSES * 2.0 * num_tokens * self.model.hidden_size * 2.0
         )
         elementwise = elementwise_bytes / (self.device.spec.memory_bandwidth * 0.7)
         fixed = 6.0e-6 + self.system.framework_overhead_per_layer_s
-        total = self.system.others_scale * elementwise + fixed
-        self._others_time_cache[num_tokens] = total
-        return total
+        return self.system.others_scale * elementwise + fixed
 
     def layer_breakdown(self, batch_size: int, context_length: int) -> LayerBreakdown:
         """Per-layer decode time split — the quantity plotted in Figures 4 and 10."""
@@ -443,18 +431,10 @@ class ServingEngine:
 
     # ------------------------------------------------------------------ step / request timing
     def lm_head_time(self, num_tokens: int) -> float:
+        """LM head over ``num_tokens`` positions (reference kernel) plus the logits gather."""
         if num_tokens <= 0:
             return 0.0
-        cached = self._lm_head_cache.get(num_tokens)
-        if cached is not None:
-            return cached
-        shape = GemmShape(num_tokens, self.model.vocab_size // self.tp_degree, self.model.hidden_size)
-        # LM head runs under the backend's reference kernel (FP16 unless the profile
-        # overrides it): logits stay full precision in every system compared.
-        total = gemm_cost(shape, self.device.spec, self._reference_params).total
-        total += self._logits_gather_time(num_tokens)
-        self._lm_head_cache[num_tokens] = total
-        return total
+        return self._lm_head_line.total(num_tokens) + self._logits_gather_time(num_tokens)
 
     def decode_step_time(self, batch_size: int, context_length: int) -> float:
         """Latency of generating one token for every sequence in a uniform batch.

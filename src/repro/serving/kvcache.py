@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 from ..backend import kv_format_bytes
 from .models import ModelConfig
@@ -114,6 +114,10 @@ class PagedKvCache:
         self._free_blocks: List[int] = list(range(config.total_blocks))
         self._sequences: Dict[int, SequenceState] = {}
         self._ref_counts: Dict[int, int] = {}
+        # Exact count of device blocks with reference count >= 2.  Every path that moves
+        # a count across 1 <-> 2 updates it, so the shared-block scans of victim
+        # selection and swap-out are skipped outright while nothing is shared.
+        self._shared_blocks = 0
         self._free_host_blocks: List[int] = list(range(config.total_host_blocks))
         self._swapped: Dict[int, SequenceState] = {}
         # Optional telemetry (bind_tracer): emits a "kv_oom" event whenever the pool
@@ -215,6 +219,8 @@ class PagedKvCache:
             del self._ref_counts[block]
             self._free_blocks.append(block)
             return 1
+        if remaining == 1:
+            self._shared_blocks -= 1
         self._ref_counts[block] = remaining
         return 0
 
@@ -232,7 +238,18 @@ class PagedKvCache:
         """
         if block not in self._ref_counts:
             raise KeyError(f"block {block} is not allocated")
-        self._ref_counts[block] += 1
+        self._share((block,))
+
+    def _share(self, blocks: Iterable[int]) -> None:
+        """Take one extra reference on each allocated block, counting newly shared ones."""
+        ref_counts = self._ref_counts
+        shared = 0
+        for block in blocks:
+            count = ref_counts[block] + 1
+            ref_counts[block] = count
+            if count == 2:
+                shared += 1
+        self._shared_blocks += shared
 
     def release_block(self, block: int) -> int:
         """Drop one reference on an allocated block; returns 1 if it went back to the pool."""
@@ -246,6 +263,8 @@ class PagedKvCache:
         Such a sequence cannot be swapped out; victim selection uses this to prefer
         swappable residents under swap-leaning preemption policies.
         """
+        if not self._shared_blocks:
+            return False
         state = self._sequences.get(seq_id)
         if state is None:
             return False
@@ -400,8 +419,7 @@ class PagedKvCache:
             raise KeyError(f"unknown (or swapped-out) sequence {parent_id}")
         if child_id in self._sequences or child_id in self._swapped:
             raise ValueError(f"sequence {child_id} already resident")
-        for block in parent.blocks:
-            self._ref_counts[block] += 1
+        self._share(parent.blocks)
         child = SequenceState(seq_id=child_id, num_tokens=parent.num_tokens,
                               blocks=list(parent.blocks))
         self._sequences[child_id] = child
@@ -422,8 +440,7 @@ class PagedKvCache:
         for block in blocks:
             if block not in ref_counts:
                 raise KeyError(f"block {block} is not allocated")
-        for block in blocks:
-            ref_counts[block] += 1
+        self._share(blocks)
         state = SequenceState(
             seq_id=seq_id,
             num_tokens=len(blocks) * self.config.block_tokens,
@@ -446,6 +463,8 @@ class PagedKvCache:
                     del ref_counts[block]
                     returned.append(block)
                 else:
+                    if remaining == 1:
+                        self._shared_blocks -= 1
                     ref_counts[block] = remaining
             self._free_blocks.extend(returned)
             return len(returned)
@@ -461,7 +480,7 @@ class PagedKvCache:
         state = self._sequences.get(seq_id)
         if state is None:
             return False
-        if any(self._ref_counts[b] > 1 for b in state.blocks):
+        if self._shared_blocks and any(self._ref_counts[b] > 1 for b in state.blocks):
             return False
         return state.num_blocks <= self.num_free_host_blocks
 
@@ -470,7 +489,7 @@ class PagedKvCache:
         state = self._sequences.get(seq_id)
         if state is None:
             raise KeyError(f"unknown sequence {seq_id}")
-        if any(self._ref_counts[b] > 1 for b in state.blocks):
+        if self._shared_blocks and any(self._ref_counts[b] > 1 for b in state.blocks):
             raise ValueError(f"sequence {seq_id} shares blocks with a fork; cannot swap out")
         if state.num_blocks > self.num_free_host_blocks:
             self._raise_oom(

@@ -1,9 +1,12 @@
 """Tests for the analytical cost model and roofline analysis (repro.costmodel)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.costmodel import (
+    GemmLine,
     GemmShape,
     KernelCostParams,
     PipelineMode,
@@ -14,7 +17,8 @@ from repro.costmodel import (
     roofline_curve,
     transition_batch_size,
 )
-from repro.gpu import A100, H100, H800
+from repro.gpu import A100, H100, H800, Precision, list_gpus
+from repro.kernels import available_kernels, get_kernel
 
 
 def params(**overrides):
@@ -149,6 +153,68 @@ class TestGemmCost:
     def test_breakdown_dict(self):
         d = gemm_cost(GemmShape(8, 512, 512), H800, params()).as_dict()
         assert set(d) >= {"t_load", "t_dequant", "t_mma", "total"}
+
+
+def _equation6(shape, gpu, p):
+    """Equation 6 for one shape, written out term by term: the reference every
+    :class:`GemmLine` evaluation must equal bit for bit."""
+    m_tiles = math.ceil(shape.m / p.tile_m)
+    effective_m = min(p.tile_m, shape.m)
+    nk = shape.n * shape.k
+    phi_bd = gpu.memory_bandwidth * p.bandwidth_efficiency / Precision.bytes(p.weight_precision)
+    phi_tc = gpu.tensor_core_throughput(p.mma_precision) * p.tensor_efficiency
+    t_load = nk / phi_bd
+    t_dequant = (p.alpha + p.load_overhead_alpha) * nk / gpu.cuda_core_int32_tops
+    t_mma = effective_m * 2.0 * nk / phi_tc
+    if p.pipeline == PipelineMode.FULL_OVERLAP:
+        per_m_tile = max(t_load, t_dequant, t_mma)
+    elif p.pipeline == PipelineMode.SERIAL_DEQUANT:
+        per_m_tile = max(t_load, t_dequant + t_mma)
+    else:
+        per_m_tile = t_load + t_dequant + t_mma
+    t_epilogue = p.epilogue_ops_per_output * shape.m * shape.n / gpu.cuda_core_fp32_tops
+    return m_tiles * per_m_tile + t_epilogue + p.launch_overhead_s
+
+
+class TestGemmLine:
+    """One line prices every M at a fixed (N, K), kernel and GPU; ``gemm_cost`` is one
+    line evaluation.  Both must equal Equation 6 written out, bit for bit."""
+
+    def test_every_kernel_and_gpu_matches_equation6(self):
+        probes = 0
+        for gpu in list_gpus().values():
+            for name in available_kernels():
+                p = get_kernel(name).cost_params(gpu)
+                if not gpu.supports_precision(p.mma_precision):
+                    continue
+                for n, k in ((12288, 4096), (4096, 11008), (32000, 8192), (7, 5)):
+                    line = GemmLine(n, k, gpu, p)
+                    for m in [*range(1, 2 * p.tile_m + 2), 1023, 1024, 1025, 262144]:
+                        shape = GemmShape(m, n, k)
+                        expected = _equation6(shape, gpu, p)
+                        assert line.total(m) == expected
+                        assert gemm_cost(shape, gpu, p).total == expected
+                        probes += 1
+        assert probes > 10000
+
+    @pytest.mark.parametrize("mode", PipelineMode.ALL)
+    def test_every_pipeline_mode_matches_equation6(self, mode):
+        p = params(pipeline=mode, alpha=2.0, load_overhead_alpha=0.5,
+                   epilogue_ops_per_output=2.0, launch_overhead_s=3e-6)
+        line = GemmLine(4096, 4096, H800, p)
+        for m in range(1, 2 * p.tile_m + 2):
+            assert line.total(m) == _equation6(GemmShape(m, 4096, 4096), H800, p)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            GemmLine(0, 64, H800, params())
+        with pytest.raises(ValueError):
+            GemmLine(64, -1, H800, params())
+        for m in (0, -1):
+            with pytest.raises(ValueError):
+                GemmLine(64, 64, H800, params()).total(m)
+        with pytest.raises(ValueError, match="tensor-core"):
+            GemmLine(64, 64, A100, params(mma_precision="fp8"))
 
 
 class TestRoofline:

@@ -1,7 +1,12 @@
 """Tests for the attention cost model, serving systems, engine and scheduler."""
 
+import sys
+
 import pytest
 
+import repro.costmodel.model as costmodel
+from repro.core import simulate_serving
+from repro.costmodel import GemmShape, gemm_cost
 from repro.gpu import H800
 from repro.serving import (
     ContinuousBatchingScheduler,
@@ -15,6 +20,7 @@ from repro.serving import (
     get_system,
     list_systems,
 )
+from repro.workloads import decode_layer_gemms
 
 
 class TestAttentionCost:
@@ -265,6 +271,87 @@ class TestOneCostCore:
                 engine.prefill_time(batch, length)
 
 
+def _reference_layer_gemm_time(engine, m):
+    """Per-shape Equation 6: ``gemm_cost(shape).total`` summed over the layer's GEMM
+    shapes, each expert's FFN GEMMs added in sequence (a dense model has one expert)."""
+    gemms = decode_layer_gemms(engine.model, m, tp_degree=engine.tp_degree)
+    spec, params = engine.device.spec, engine.backend.gemm_cost_params
+    total = 0.0
+    for shape in gemms.attention_gemms():
+        total += gemm_cost(shape, spec, params).total
+    total += sum(gemm_cost(shape, spec, params).total for shape in gemms.gate_up)
+    total += sum(gemm_cost(shape, spec, params).total for shape in gemms.down)
+    return total
+
+
+def _reference_lm_head_time(engine, m):
+    model = engine.model
+    shape = GemmShape(m, model.vocab_size // engine.tp_degree, model.hidden_size)
+    return (
+        gemm_cost(shape, engine.device.spec, engine.backend.reference_cost_params).total
+        + engine._logits_gather_time(m)
+    )
+
+
+def _valid_tp_degrees(config, degrees):
+    valid = []
+    for tp in degrees:
+        try:
+            config.validate_tp(tp)
+        except ValueError:
+            continue
+        valid.append(tp)
+    return valid
+
+
+class TestClosedFormGemmLines:
+    """The engine prices its layer GEMMs and LM head through Equation-6 lines resolved
+    once per engine; every token count must cost exactly what per-shape ``gemm_cost``
+    gives, and a serving run must never fall back to a per-shape evaluation."""
+
+    @pytest.mark.parametrize("system,model", [
+        (system, model)
+        for system in list_systems()
+        for model in ("llama2-7b", "mixtral-8x7b")
+        if get_system(system).supports_moe or not get_model(model).is_moe
+    ])
+    def test_lines_equal_per_shape_gemm_cost(self, system, model):
+        for tp in _valid_tp_degrees(get_model(model), (1, 2, 4, 8)):
+            engine = ServingEngine(system, model, tp_degree=tp)
+            tile_m = max(engine.backend.gemm_cost_params.tile_m,
+                         engine.backend.reference_cost_params.tile_m)
+            for m in [*range(1, 2 * tile_m + 2), 1023, 1024, 1025, 4096, 262144]:
+                assert engine.layer_gemm_time(m) == _reference_layer_gemm_time(engine, m)
+                assert engine.lm_head_time(m) == _reference_lm_head_time(engine, m)
+
+    def test_non_positive_token_count_rejected(self):
+        for model in ("llama2-7b", "mixtral-8x7b"):
+            engine = ServingEngine("liquidserve", model)
+            for m in (0, -1):
+                with pytest.raises(ValueError):
+                    engine.layer_gemm_time(m)
+
+    @pytest.mark.parametrize("model", ["llama2-7b", "mixtral-8x7b"])
+    def test_serving_run_never_calls_gemm_cost(self, model, monkeypatch):
+        calls = []
+        original = costmodel.gemm_cost
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, "gemm_cost", None) is original:
+                monkeypatch.setattr(module, "gemm_cost", counting)
+        sim = simulate_serving("liquidserve", model, num_requests=40,
+                               arrival_rate_rps=20.0, seed=0)
+        assert sim.stats.completed_requests == 40
+        assert len(calls) == 0
+        # The counter is live: a per-shape estimate through the backend reaches it.
+        ServingEngine("liquidserve", model).backend.gemm_time(GemmShape(1, 64, 64))
+        assert len(calls) == 1
+
+
 class TestTable1Properties:
     """The qualitative structure of Table 1 that the reproduction must preserve."""
 
@@ -342,10 +429,7 @@ class TestBoundedMemoCaches:
     def test_cache_stats_shape_and_growth(self):
         engine = ServingEngine("liquidserve", "llama2-7b")
         stats = engine.cache_stats()
-        assert set(stats) == {
-            "layer_gemm", "lm_head", "layer_others", "allreduce",
-            "step_coeffs", "chunk_attention",
-        }
+        assert set(stats) == {"step_coeffs", "chunk_attention"}
         for entry in stats.values():
             assert entry == {"entries": 0, "max_entries": 65536, "evictions": 0}
         engine.iteration_time(4, 4096, (), 4)

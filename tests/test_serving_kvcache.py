@@ -337,6 +337,32 @@ class TestCopyOnFork:
         with pytest.raises(ValueError):
             cache.swap_out(1)
 
+    def test_shared_block_count_follows_forks_seeds_and_frees(self):
+        cache = PagedKvCache(make_config(block_tokens=16, host_budget_mb=64))
+        cache.add_sequence(1, 64)  # 4 full blocks
+        assert cache._shared_blocks == 0 and not cache.shares_blocks(1)
+        cache.fork_sequence(1, 2)
+        assert cache._shared_blocks == 4
+        assert cache.shares_blocks(1) and cache.shares_blocks(2)
+        # A prefix seed over already-shared blocks shares no new block; a cache-style
+        # extra reference on an unshared one does.
+        cache.fork_from_blocks(3, cache.sequence(1).blocks[:2])
+        cache.add_sequence(4, 16)
+        cache.retain_block(cache.sequence(4).blocks[0])
+        assert cache._shared_blocks == 5
+        assert cache.shares_blocks(3) and cache.shares_blocks(4)
+        cache.free_sequence(2)
+        assert cache._shared_blocks == 3  # seq 3 still shares seq 1's first two
+        assert cache.shares_blocks(1) and not cache.can_swap_out(1)
+        with pytest.raises(ValueError):
+            cache.swap_out(1)
+        cache.free_sequence(3)
+        cache.free_sequence(4)  # the retained block survives with one holder
+        assert cache._shared_blocks == 0
+        assert not cache.shares_blocks(1) and cache.can_swap_out(1)
+        cache.free_sequence(1)
+        assert cache.num_used_blocks == 1 and cache._shared_blocks == 0
+
     def test_truncate_releases_blocks(self):
         cache = PagedKvCache(make_config(block_tokens=16))
         cache.add_sequence(1, 100)
@@ -552,6 +578,13 @@ class KvForkSwapMachine(RuleBasedStateMachine):
             for block in self.cache.sequence(seq_id).blocks:
                 counts[block] = counts.get(block, 0) + 1
         assert counts == self.cache._ref_counts
+
+    @invariant()
+    def shared_block_count_is_exact(self):
+        # The count that lets shares_blocks / can_swap_out / swap_out skip their scans.
+        assert self.cache._shared_blocks == sum(
+            1 for count in self.cache._ref_counts.values() if count >= 2
+        )
 
     @invariant()
     def both_pools_conserve_blocks(self):

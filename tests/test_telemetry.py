@@ -79,8 +79,9 @@ class TestEngineMemoHookup:
         assert set(memo) == set(
             ServingEngine("liquidserve", "llama2-7b").cache_stats()
         )
+        assert set(memo) == {"step_coeffs", "chunk_attention"}
         assert memo["step_coeffs"]["entries"] > 0
-        assert memo["layer_gemm"]["entries"] > 0
+        assert memo["chunk_attention"]["entries"] > 0
         for stats in memo.values():
             assert set(stats) == {"entries", "max_entries", "evictions"}
 
