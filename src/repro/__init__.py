@@ -12,7 +12,7 @@ subpackage             contents
 ``repro.layout``       weight memory layouts (WGMMA fragments, dual-MMA packed layout)
 ``repro.dequant``      register-level dequantization with instruction accounting
 ``repro.isa``          bit-exact emulation of the PTX-level 32-bit instructions involved
-``repro.gpu``          GPU hardware model (A100/H100/H800 specs, memory hierarchy, occupancy)
+``repro.gpu``          GPU specs (A100/H100/H800) and the shared-memory bank-conflict model
 ``repro.costmodel``    the paper's analytical cost model (Eq. 3-6) and roofline analysis
 ``repro.pipeline``     event-driven warp-group pipeline simulation (serial / ExCP / ImFP)
 ``repro.kernels``      LiquidGEMM + baseline kernels behind one interface
@@ -29,7 +29,7 @@ subpackage             contents
 from .backend import KernelBackend, build_backend
 from .core import GemmResult, LiquidGemmKernel, compare_kernels, quantize_weights, w4a8_gemm
 from .costmodel import GemmShape
-from .gpu import A100, H100, H800, Device, GpuSpec, Precision, get_gpu
+from .gpu import A100, H100, H800, GpuSpec, Precision, get_gpu
 from .kernels import available_kernels, default_comparison_set, get_kernel
 from .serving import ServingEngine, get_model, get_system, list_models, list_systems
 from .telemetry import Tracer
@@ -46,7 +46,6 @@ __all__ = [
     "A100",
     "H100",
     "H800",
-    "Device",
     "GpuSpec",
     "Precision",
     "get_gpu",

@@ -4,7 +4,8 @@ Everything the serving stack needs from the quantization/kernel core used to be 
 piecemeal — ``ServingEngine`` called :func:`repro.kernels.registry.get_kernel` directly,
 ``PagedKvCache`` resolved KV bytes-per-element from :mod:`repro.quant.kvcache`, and the FP16
 recompute/LM-head reference kernel was hardcoded.  :class:`KernelBackend` bundles all of it,
-constructed **once** from a :class:`~repro.serving.systems.SystemProfile` and a device:
+constructed **once** from a :class:`~repro.serving.systems.SystemProfile` and a GPU
+(:class:`~repro.gpu.specs.GpuSpec`):
 
 * the system's GEMM kernel and its resolved :class:`~repro.costmodel.model.KernelCostParams`
   (including the dequant-path overheads ``alpha`` / ``load_overhead_alpha``);
@@ -30,9 +31,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Dict, Optional
 
-from ..costmodel.model import GemmShape, KernelCostParams, gemm_cost
-from ..gpu.device import Device
-from ..kernels.base import GemmKernel, as_device
+from ..costmodel.model import KernelCostParams
+from ..gpu.specs import GpuSpec, get_gpu
+from ..kernels.base import GemmKernel
 from ..kernels.registry import available_kernels, get_kernel
 from ..quant.kvcache import KV_FORMATS, kv_bytes_per_element
 
@@ -118,7 +119,7 @@ class KernelBackend:
     """Everything the serving stack consumes from the kernel/quantization core, resolved.
 
     Instances are built by :func:`build_backend` (or ``KernelBackend.from_system``) and are
-    immutable: cost parameters are resolved once per (profile, device), which is also what
+    immutable: cost parameters are resolved once per (profile, GPU), which is also what
     makes engine construction cheap enough for per-worker caches in :mod:`repro.sweep`.
     """
 
@@ -133,20 +134,20 @@ class KernelBackend:
     kv_format: str
     kv_bytes_per_element: float
     attention_efficiency: float
-    device: Device
+    gpu: GpuSpec
 
     # ------------------------------------------------------------------ construction
     @classmethod
     def from_system(cls, system: Any, device: Any = "H800") -> "KernelBackend":
-        """Build the backend for one system profile on one device.
+        """Build the backend for one system profile on one GPU.
 
         ``system`` is any object with ``kernel``, ``kv_format``, ``weight_bytes_per_param``
         and ``attention_efficiency`` attributes (a ``SystemProfile`` or a derived one);
-        ``device`` is a :class:`~repro.gpu.device.Device`, a GPU spec, or a GPU name.
+        ``device`` is a :class:`~repro.gpu.specs.GpuSpec` or a GPU name.
         Kernel and KV-format names are validated here, up front, against the registries —
         the one place the whole serving stack resolves them.
         """
-        dev = as_device(device)
+        gpu = get_gpu(device)
         kernel_name = system.kernel
         reference_name = getattr(system, "reference_kernel", DEFAULT_REFERENCE_KERNEL)
         try:
@@ -165,24 +166,16 @@ class KernelBackend:
             reference_kernel_name=reference_name,
             kernel=kernel,
             reference_kernel=reference,
-            gemm_cost_params=kernel.cost_params(dev.spec),
-            reference_cost_params=reference.cost_params(dev.spec),
+            gemm_cost_params=kernel.cost_params(gpu),
+            reference_cost_params=reference.cost_params(gpu),
             weight_bytes_per_param=system.weight_bytes_per_param,
             kv_format=system.kv_format,
             kv_bytes_per_element=kv_bytes,
             attention_efficiency=system.attention_efficiency,
-            device=dev,
+            gpu=gpu,
         )
 
-    # ------------------------------------------------------------------ GEMM costs
-    def gemm_time(self, shape: GemmShape) -> float:
-        """Latency of one GEMM under the system's kernel (closed-form cost model)."""
-        return gemm_cost(shape, self.device.spec, self.gemm_cost_params).total
-
-    def reference_gemm_time(self, shape: GemmShape) -> float:
-        """Latency of one GEMM under the reference kernel (LM head, FP16 baselines)."""
-        return gemm_cost(shape, self.device.spec, self.reference_cost_params).total
-
+    # ------------------------------------------------------------------ kernel facts
     @property
     def dequant_alpha(self) -> float:
         """CUDA-core dequant instructions per weight element (the paper's ``alpha``)."""
@@ -217,7 +210,7 @@ class KernelBackend:
     def kv_budget_bytes(self, model: Any, tp_degree: int = 1) -> int:
         """Per-GPU KV-cache budget after weights and the activation reserve."""
         budget = (
-            self.device.spec.memory_capacity
+            self.gpu.memory_capacity
             - self.deployed_weight_bytes(model, tp_degree)
             - ACTIVATION_RESERVE_BYTES
         )
@@ -237,7 +230,7 @@ class KernelBackend:
             "dequant_alpha": self.dequant_alpha,
             "mma_precision": self.mma_precision,
             "weight_quant_scheme": self.weight_quant_scheme,
-            "device": self.device.spec.name,
+            "device": self.gpu.name,
         }
 
 

@@ -1,17 +1,7 @@
-"""Simulated GPU hardware substrate: specs, memory hierarchy, device/occupancy model."""
+"""Simulated GPU hardware: specs and the shared-memory bank-conflict model."""
 
 from .specs import A100, H100, H800, GpuSpec, Precision, get_gpu, list_gpus
-from .memory import (
-    GlobalMemory,
-    MemoryRegion,
-    OutOfMemoryError,
-    RegisterFile,
-    SharedMemory,
-    TrafficCounter,
-    bytes_for,
-    smem_bank_conflicts,
-)
-from .device import Device, OccupancyResult, ThreadBlockConfig, WarpGroupRole
+from .memory import smem_bank_conflicts
 
 __all__ = [
     "A100",
@@ -21,16 +11,5 @@ __all__ = [
     "Precision",
     "get_gpu",
     "list_gpus",
-    "GlobalMemory",
-    "MemoryRegion",
-    "OutOfMemoryError",
-    "RegisterFile",
-    "SharedMemory",
-    "TrafficCounter",
-    "bytes_for",
     "smem_bank_conflicts",
-    "Device",
-    "OccupancyResult",
-    "ThreadBlockConfig",
-    "WarpGroupRole",
 ]

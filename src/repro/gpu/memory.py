@@ -1,185 +1,16 @@
-"""Memory hierarchy model: global memory, shared memory, register file.
+"""Shared-memory bank-conflict model (Section 5.2).
 
-The GEMM kernels in this reproduction do not execute on a real GPU, but the *capacity* and
-*traffic* constraints of the memory hierarchy still matter for three things the paper
-depends on:
-
-* tile-size feasibility (``M_t x K_t`` activation tile + ``N_t x K_t`` weight tile must fit
-  in shared memory, which bounds the arithmetic intensity amortization — Section 3.3);
-* per-iteration data-loading time ``T_LD`` (Equation 3), driven by bytes moved from GMEM;
-* shared-memory bank conflicts, which the dual-MMA packed layout eliminates (Section 5.2).
-
-The classes here provide explicit byte accounting with overflow checks so higher layers
-(kernels, the serving engine) can detect infeasible tilings / out-of-memory configurations
-instead of silently producing meaningless latencies.
+A warp's shared-memory access is serialized into as many phases as the most accesses that
+land on one bank.  The weight layouts of :mod:`repro.layout` report their conflict degree
+through the two functions here: the dual-MMA packed layout's ``LDS.128`` loads are
+conflict-free, while a 2-D packed layout with a 128-byte row pitch conflicts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from .specs import GpuSpec, Precision
-
-__all__ = [
-    "MemoryRegion",
-    "GlobalMemory",
-    "SharedMemory",
-    "RegisterFile",
-    "TrafficCounter",
-    "bytes_for",
-    "OutOfMemoryError",
-    "smem_bank_conflicts",
-    "smem_bank_conflicts_phased",
-]
-
-
-class OutOfMemoryError(RuntimeError):
-    """Raised when an allocation exceeds the capacity of a memory region."""
-
-
-def bytes_for(num_elements: int, precision: str) -> int:
-    """Bytes needed to store ``num_elements`` of ``precision`` (rounded up to whole bytes)."""
-    if num_elements < 0:
-        raise ValueError("num_elements must be non-negative")
-    bits = Precision.bits(precision) * num_elements
-    return (bits + 7) // 8
-
-
-@dataclass
-class TrafficCounter:
-    """Accumulates read/write byte counts for one memory region."""
-
-    bytes_read: int = 0
-    bytes_written: int = 0
-    num_reads: int = 0
-    num_writes: int = 0
-
-    def record_read(self, nbytes: int) -> None:
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        self.bytes_read += nbytes
-        self.num_reads += 1
-
-    def record_write(self, nbytes: int) -> None:
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        self.bytes_written += nbytes
-        self.num_writes += 1
-
-    @property
-    def total_bytes(self) -> int:
-        return self.bytes_read + self.bytes_written
-
-    def reset(self) -> None:
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.num_reads = 0
-        self.num_writes = 0
-
-    def merged(self, other: "TrafficCounter") -> "TrafficCounter":
-        return TrafficCounter(
-            bytes_read=self.bytes_read + other.bytes_read,
-            bytes_written=self.bytes_written + other.bytes_written,
-            num_reads=self.num_reads + other.num_reads,
-            num_writes=self.num_writes + other.num_writes,
-        )
-
-
-@dataclass
-class MemoryRegion:
-    """A bounded memory region with named allocations and traffic accounting."""
-
-    name: str
-    capacity: int
-    allocations: Dict[str, int] = field(default_factory=dict)
-    traffic: TrafficCounter = field(default_factory=TrafficCounter)
-
-    def allocate(self, label: str, nbytes: int) -> None:
-        """Reserve ``nbytes`` under ``label``; raises :class:`OutOfMemoryError` if full."""
-        if nbytes < 0:
-            raise ValueError("allocation size must be non-negative")
-        if label in self.allocations:
-            raise ValueError(f"allocation {label!r} already exists in {self.name}")
-        if self.used + nbytes > self.capacity:
-            raise OutOfMemoryError(
-                f"{self.name}: allocating {nbytes} bytes for {label!r} exceeds capacity "
-                f"({self.used}/{self.capacity} bytes used)"
-            )
-        self.allocations[label] = nbytes
-
-    def free(self, label: str) -> int:
-        """Release the allocation ``label`` and return its size."""
-        try:
-            return self.allocations.pop(label)
-        except KeyError as exc:
-            raise KeyError(f"no allocation named {label!r} in {self.name}") from exc
-
-    def resize(self, label: str, nbytes: int) -> None:
-        """Resize an existing allocation, enforcing capacity."""
-        if label not in self.allocations:
-            raise KeyError(f"no allocation named {label!r} in {self.name}")
-        delta = nbytes - self.allocations[label]
-        if self.used + delta > self.capacity:
-            raise OutOfMemoryError(
-                f"{self.name}: resizing {label!r} to {nbytes} bytes exceeds capacity"
-            )
-        self.allocations[label] = nbytes
-
-    @property
-    def used(self) -> int:
-        return sum(self.allocations.values())
-
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity - self.used
-
-    def fits(self, nbytes: int) -> bool:
-        return nbytes <= self.free_bytes
-
-    def read(self, nbytes: int) -> None:
-        self.traffic.record_read(nbytes)
-
-    def write(self, nbytes: int) -> None:
-        self.traffic.record_write(nbytes)
-
-    def reset(self) -> None:
-        self.allocations.clear()
-        self.traffic.reset()
-
-
-class GlobalMemory(MemoryRegion):
-    """Device HBM; capacity taken from the GPU spec (80 GB on the paper's H800)."""
-
-    def __init__(self, spec: GpuSpec):
-        super().__init__(name=f"{spec.name}.GMEM", capacity=int(spec.memory_capacity))
-        self.bandwidth = spec.memory_bandwidth
-
-    def transfer_time(self, nbytes: int, efficiency: float = 1.0) -> float:
-        """Seconds to move ``nbytes`` at ``efficiency`` fraction of peak bandwidth."""
-        if not 0 < efficiency <= 1.0:
-            raise ValueError("efficiency must be in (0, 1]")
-        return nbytes / (self.bandwidth * efficiency)
-
-
-class SharedMemory(MemoryRegion):
-    """Per-SM shared memory (SMEM), including the bank model."""
-
-    def __init__(self, spec: GpuSpec):
-        super().__init__(name=f"{spec.name}.SMEM", capacity=spec.smem_per_sm)
-        self.num_banks = spec.smem_banks
-        self.bank_width = spec.smem_bank_width
-
-
-class RegisterFile(MemoryRegion):
-    """Per-SM register file; capacity is ``registers_per_sm`` 32-bit registers."""
-
-    def __init__(self, spec: GpuSpec):
-        super().__init__(name=f"{spec.name}.RF", capacity=spec.registers_per_sm * 4)
-        self.num_registers = spec.registers_per_sm
-
-    def registers_used(self) -> int:
-        return (self.used + 3) // 4
+__all__ = ["smem_bank_conflicts", "smem_bank_conflicts_phased"]
 
 
 def smem_bank_conflicts_phased(

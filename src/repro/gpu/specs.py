@@ -1,10 +1,12 @@
-"""GPU hardware specifications used by the cost model and pipeline simulator.
+"""GPU hardware specifications used by the cost model, pipeline simulator and serving model.
 
 The paper's performance analysis (Figure 1, Section 3) is phrased entirely in terms of a
 small set of published hardware metrics: Tensor Core throughput per precision, CUDA Core
 INT32 throughput, and memory bandwidth.  This module captures those metrics for the GPUs
 the paper discusses (A100, H100, H800) and exposes a parametric :class:`GpuSpec` so the
-cost model, roofline analysis and pipeline simulator all draw numbers from one place.
+cost model, roofline analysis, pipeline simulator and serving engine all draw numbers from
+one place.  :func:`get_gpu` is the one resolver: every ``device=`` argument in the library
+(a GPU name or a :class:`GpuSpec`) goes through it.
 
 Throughputs are stored in *operations per second* (an FMA counts as two operations, the
 same convention as the paper and NVIDIA datasheets).  Memory bandwidth is bytes per second.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Union
 
 __all__ = [
     "Precision",
@@ -72,9 +74,9 @@ class Precision:
 class GpuSpec:
     """A parametric description of a data-center GPU.
 
-    Attributes mirror Figure 1a of the paper plus the microarchitectural parameters
-    needed by the pipeline simulator (SM count, shared memory size, register file size,
-    warp-group width and clock).
+    Attributes mirror Figure 1a of the paper, plus the SM count and clock the pipeline
+    simulator apportions per thread block, and the memory capacity and link bandwidths
+    the serving model charges.
     """
 
     name: str
@@ -90,30 +92,13 @@ class GpuSpec:
     memory_capacity: float
     #: Number of streaming multiprocessors.
     num_sms: int
-    #: SM clock in Hz (boost clock; used to convert throughput to per-cycle rates).
+    #: SM clock in Hz (boost clock; converts the per-clock SMEM bandwidth to bytes/s).
     clock_hz: float
-    #: Shared memory per SM, bytes (configurable carve-out already applied).
-    smem_per_sm: int
-    #: 32-bit registers per SM.
-    registers_per_sm: int
-    #: Maximum resident thread blocks per SM used by the occupancy model.
-    max_blocks_per_sm: int = 2
-    #: Threads per warp.
-    warp_size: int = 32
-    #: Warps per warp group (Hopper WGMMA granularity).
-    warps_per_warp_group: int = 4
-    #: SMEM banks and bank width (bytes) for the bank-conflict model.
-    smem_banks: int = 32
-    smem_bank_width: int = 4
-    #: NVLink / PCIe bandwidth, bytes/s (not used by the GEMM model, kept for completeness).
+    #: NVLink / PCIe bandwidth, bytes/s: TP all-reduces and disaggregated KV handoffs.
     interconnect_bandwidth: float = 64e9
     #: GPU <-> host-memory link bandwidth, bytes/s (PCIe, effective): the rate at which KV
     #: blocks move during swap-based preemption.
     host_link_bandwidth: float = 25e9
-    #: Whether the GPU supports asynchronous TMA bulk copies (Hopper and later).
-    has_tma: bool = True
-    #: Whether the Tensor Cores support the INT4 MMA data type.
-    supports_int4_mma: bool = False
 
     def tensor_core_throughput(self, precision: str) -> float:
         """Tensor Core throughput in OPs/s for ``precision``.
@@ -132,22 +117,6 @@ class GpuSpec:
     def supports_precision(self, precision: str) -> bool:
         """True if the Tensor Cores can execute MMA at ``precision``."""
         return precision in self.tensor_core_tops
-
-    @property
-    def threads_per_warp_group(self) -> int:
-        return self.warp_size * self.warps_per_warp_group
-
-    def per_sm_bandwidth(self) -> float:
-        """Effective memory bandwidth available to one SM (bytes/s)."""
-        return self.memory_bandwidth / self.num_sms
-
-    def per_sm_tensor_ops(self, precision: str) -> float:
-        """Tensor Core OPs/s available to one SM."""
-        return self.tensor_core_throughput(precision) / self.num_sms
-
-    def per_sm_cuda_ops(self) -> float:
-        """CUDA Core INT32 OPs/s available to one SM."""
-        return self.cuda_core_int32_tops / self.num_sms
 
     def with_overrides(self, **kwargs) -> "GpuSpec":
         """Return a copy of this spec with selected fields replaced.
@@ -184,11 +153,7 @@ A100 = GpuSpec(
     memory_capacity=80 * 2**30,
     num_sms=108,
     clock_hz=1.41e9,
-    smem_per_sm=164 * 1024,
-    registers_per_sm=65536,
     host_link_bandwidth=25e9,  # PCIe Gen4 x16, effective
-    has_tma=False,
-    supports_int4_mma=True,
 )
 
 #: NVIDIA H100-SXM5-80GB (Figure 1a).
@@ -206,11 +171,7 @@ H100 = GpuSpec(
     memory_capacity=80 * 2**30,
     num_sms=132,
     clock_hz=1.83e9,
-    smem_per_sm=228 * 1024,
-    registers_per_sm=65536,
     host_link_bandwidth=55e9,  # PCIe Gen5 x16, effective
-    has_tma=True,
-    supports_int4_mma=False,
 )
 
 #: NVIDIA H800-SXM5-80GB: H100 silicon with reduced NVLink; compute/memory metrics match
@@ -221,12 +182,15 @@ H800 = H100.with_overrides(name="H800", interconnect_bandwidth=32e9)
 _REGISTRY: Dict[str, GpuSpec] = {g.name.lower(): g for g in (A100, H100, H800)}
 
 
-def get_gpu(name: str) -> GpuSpec:
-    """Look up a GPU spec by (case-insensitive) name."""
+def get_gpu(device: Union[str, GpuSpec]) -> GpuSpec:
+    """Resolve a GPU: a :class:`GpuSpec` is returned as is, a name is looked up
+    (case-insensitive) in the registry."""
+    if isinstance(device, GpuSpec):
+        return device
     try:
-        return _REGISTRY[name.lower()]
+        return _REGISTRY[str(device).lower()]
     except KeyError as exc:
-        raise KeyError(f"unknown GPU {name!r}; known: {sorted(_REGISTRY)}") from exc
+        raise KeyError(f"unknown GPU {device!r}; known: {sorted(_REGISTRY)}") from exc
 
 
 def list_gpus() -> Dict[str, GpuSpec]:

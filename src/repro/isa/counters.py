@@ -11,20 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict
 
-__all__ = ["InstructionStats", "InstructionEvent"]
-
-
-@dataclass(frozen=True)
-class InstructionEvent:
-    """One emulated hardware instruction execution."""
-
-    opcode: str
-    #: Number of native issue slots this instruction occupies on the CUDA cores.  Native
-    #: 32-bit ALU ops cost 1; emulated pseudo-instructions (e.g. ``vadd4`` on Hopper, which
-    #: the compiler lowers to a sequence of byte-extract/add/insert ops) cost more.
-    issue_slots: int = 1
-    #: Functional unit: "alu" (INT32 CUDA core), "ldst" (load/store), "tensor", "tma".
-    unit: str = "alu"
+__all__ = ["InstructionStats"]
 
 
 @dataclass
@@ -36,15 +23,14 @@ class InstructionStats:
     total_issue_slots: int = 0
 
     def record(self, opcode: str, issue_slots: int = 1, unit: str = "alu", count: int = 1) -> None:
-        """Record ``count`` executions of ``opcode``."""
+        """Record ``count`` executions of ``opcode``, each taking ``issue_slots`` slots on
+        ``unit`` ("alu" is the INT32 CUDA cores; an emulated pseudo-instruction such as
+        Hopper's ``vadd4`` takes more than one)."""
         if issue_slots < 0 or count < 0:
             raise ValueError("issue_slots and count must be non-negative")
         self.events[opcode] += count
         self.issue_slots_by_unit[unit] += issue_slots * count
         self.total_issue_slots += issue_slots * count
-
-    def record_event(self, event: InstructionEvent, count: int = 1) -> None:
-        self.record(event.opcode, event.issue_slots, event.unit, count)
 
     def count(self, opcode: str) -> int:
         """Number of times ``opcode`` was recorded."""

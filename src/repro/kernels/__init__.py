@@ -1,6 +1,6 @@
 """GEMM kernels: LiquidGEMM, its ablation variants, and the baselines it is compared against."""
 
-from .base import GemmKernel, KernelReport, PreparedWeights, as_device
+from .base import GemmKernel, KernelReport, PreparedWeights
 from .library import Fp16Kernel, Fp8Kernel, QServeW4A8Kernel, W4A16Kernel, W8A8Kernel
 from .liquidgemm import LiquidGemmKernel
 from .ablation import (
@@ -16,7 +16,6 @@ __all__ = [
     "GemmKernel",
     "KernelReport",
     "PreparedWeights",
-    "as_device",
     "Fp16Kernel",
     "Fp8Kernel",
     "QServeW4A8Kernel",

@@ -9,7 +9,8 @@ A :class:`GemmKernel` bundles three things:
   is testable;
 * **a performance estimate** (`estimate`) — evaluates the paper's cost model (and optionally
   the event-driven pipeline simulator) on the kernel's :class:`KernelCostParams` for a given
-  GPU, returning a :class:`KernelReport`.
+  GPU (a :class:`~repro.gpu.specs.GpuSpec` or its name, resolved by
+  :func:`~repro.gpu.specs.get_gpu`), returning a :class:`KernelReport`.
 
 All kernels in :mod:`repro.kernels.library`, :mod:`repro.kernels.liquidgemm` and
 :mod:`repro.kernels.ablation` share this interface, which is what makes the paper's unified
@@ -25,24 +26,16 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..costmodel.model import CostBreakdown, GemmShape, KernelCostParams, gemm_cost
-from ..gpu.device import Device
-from ..gpu.specs import GpuSpec, Precision
+from ..gpu.specs import GpuSpec, Precision, get_gpu
 from ..pipeline.simulator import PipelineKind, PipelineResult, simulate_pipeline
 from ..pipeline.timing import decompose_work, derive_iteration_timing
 from ..quant.activation import quantize_activation_per_token
 
-__all__ = ["PreparedWeights", "KernelReport", "GemmKernel", "as_device", "int8_gemm"]
+__all__ = ["PreparedWeights", "KernelReport", "GemmKernel", "int8_gemm"]
 
 #: Largest ``|activation code * weight code|`` on the INT8 path: per-token activation
 #: codes lie in [-127, 127] and INT8 weight codes in [-128, 127].
 _MAX_INT8_PRODUCT = 127 * 128
-
-
-def as_device(device_or_spec) -> Device:
-    """Accept a :class:`Device`, a :class:`GpuSpec` or a GPU name and return a Device."""
-    if isinstance(device_or_spec, Device):
-        return device_or_spec
-    return Device(device_or_spec)
 
 
 def int8_gemm(x: np.ndarray, w_i8: np.ndarray, scale_ch: np.ndarray) -> np.ndarray:
@@ -136,7 +129,7 @@ class GemmKernel(abc.ABC):
         use_pipeline_sim: bool = False,
         group_sizes: Optional[Sequence[GemmShape]] = None,
     ) -> KernelReport:
-        """Estimate latency of this kernel for ``shape`` on ``device``.
+        """Estimate latency of this kernel for ``shape`` on ``device`` (a GPU spec or name).
 
         With ``use_pipeline_sim`` the event-driven warp-group simulator replaces the closed-
         form combination of stage times (the per-iteration stage durations are identical, so
@@ -144,17 +137,17 @@ class GemmKernel(abc.ABC):
         grouped GEMM (e.g. the per-expert GEMMs of an MoE layer) executed back to back by the
         same persistent kernel.
         """
-        dev = as_device(device)
-        params = self.cost_params(dev.spec)
+        gpu = get_gpu(device)
+        params = self.cost_params(gpu)
         shapes: List[GemmShape] = list(group_sizes) if group_sizes else [shape]
 
-        breakdowns = [gemm_cost(s, dev.spec, params) for s in shapes]
+        breakdowns = [gemm_cost(s, gpu, params) for s in shapes]
         total_latency = sum(b.total for b in breakdowns)
         main = breakdowns[0]
 
         pipeline_result = None
         if use_pipeline_sim:
-            pipeline_result = self._simulate(shapes, dev, params)
+            pipeline_result = self._simulate(shapes, gpu, params)
             # Pipeline simulation covers the main loops; keep epilogue/launch from the model.
             extras = sum(b.t_epilogue + b.t_launch for b in breakdowns)
             total_latency = pipeline_result.total_time + extras
@@ -162,7 +155,7 @@ class GemmKernel(abc.ABC):
         return KernelReport(
             kernel=self.name,
             shape=shape,
-            gpu=dev.spec.name,
+            gpu=gpu.name,
             latency_s=total_latency,
             breakdown=main,
             pipeline=pipeline_result,
@@ -172,13 +165,13 @@ class GemmKernel(abc.ABC):
             ),
         )
 
-    def _simulate(self, shapes: Sequence[GemmShape], dev: Device, params: KernelCostParams
+    def _simulate(self, shapes: Sequence[GemmShape], gpu: GpuSpec, params: KernelCostParams
                   ) -> PipelineResult:
         timings = []
         iterations = []
         for s in shapes:
-            work = decompose_work(s, dev.spec, params)
-            timings.append(derive_iteration_timing(s, dev.spec, params))
+            work = decompose_work(s, gpu, params)
+            timings.append(derive_iteration_timing(s, gpu, params))
             iterations.append(work.k_iterations * work.tiles_per_block)
         kwargs = self._pipeline_kwargs()
         if len(shapes) > 1 and "per_gemm_overhead" not in kwargs:

@@ -5,9 +5,9 @@ iteration of one thread block: load a ``tile_n x tile_k`` weight slice, dequanti
 MMAs against the ``tile_m x tile_k`` activation slice.  This module converts a GEMM problem,
 a GPU spec and a kernel configuration into those per-iteration stage durations, using the same
 block-level throughput apportionment as the analytic cost model (Equation 6's ``S * L``
-concurrent thread blocks), so the simulator and the closed-form model agree in steady state
-and differ only where scheduling effects (bubbles, sync, round trips, grouped-GEMM fill/drain)
-matter.
+concurrent thread blocks, with ``L = 1`` resident block per SM), so the simulator and the
+closed-form model agree in steady state and differ only where scheduling effects (bubbles,
+sync, round trips, grouped-GEMM fill/drain) matter.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class WorkDecomposition:
 
     k_iterations: int        # main-loop iterations per output tile
     total_tiles: int         # output tiles over the whole GEMM
-    concurrent_blocks: int   # S * L
+    concurrent_blocks: int   # S * L, with L = 1
     tiles_per_block: int     # sequential output tiles a single block processes
 
 
@@ -53,16 +53,13 @@ _SMEM_BYTES_PER_CLOCK = 128
 _SYNC_LATENCY_S = 1.5e-7
 
 
-def decompose_work(shape: GemmShape, gpu: GpuSpec, params: KernelCostParams,
-                   blocks_per_sm: int = 1) -> WorkDecomposition:
-    """Split a GEMM into tiles / iterations and distribute tiles over concurrent blocks."""
-    if blocks_per_sm < 1:
-        raise ValueError("blocks_per_sm must be >= 1")
+def decompose_work(shape: GemmShape, gpu: GpuSpec, params: KernelCostParams) -> WorkDecomposition:
+    """Split a GEMM into tiles / iterations and distribute tiles over the SMs' blocks."""
     k_iterations = math.ceil(shape.k / params.tile_k)
     m_tiles = math.ceil(shape.m / params.tile_m)
     n_tiles = math.ceil(shape.n / params.tile_n)
     total_tiles = m_tiles * n_tiles
-    concurrent = gpu.num_sms * blocks_per_sm
+    concurrent = gpu.num_sms
     tiles_per_block = math.ceil(total_tiles / concurrent)
     return WorkDecomposition(
         k_iterations=k_iterations,
@@ -72,10 +69,10 @@ def decompose_work(shape: GemmShape, gpu: GpuSpec, params: KernelCostParams,
     )
 
 
-def derive_iteration_timing(shape: GemmShape, gpu: GpuSpec, params: KernelCostParams,
-                            blocks_per_sm: int = 1) -> IterationTiming:
+def derive_iteration_timing(shape: GemmShape, gpu: GpuSpec, params: KernelCostParams
+                            ) -> IterationTiming:
     """Per-iteration stage durations at block-level throughput shares."""
-    concurrent = gpu.num_sms * max(1, blocks_per_sm)
+    concurrent = gpu.num_sms
     tile_elements = params.tile_n * params.tile_k
     effective_m = min(params.tile_m, shape.m)
 
@@ -91,8 +88,8 @@ def derive_iteration_timing(shape: GemmShape, gpu: GpuSpec, params: KernelCostPa
     t_mma = 2.0 * effective_m * tile_elements / block_tc
 
     # ExCP round trip: read packed tile (4-bit), write dequantized tile (8-bit), read it again
-    # for the MMA warp group.  SMEM bandwidth is shared by the resident blocks of the SM.
-    smem_bandwidth = _SMEM_BYTES_PER_CLOCK * gpu.clock_hz / max(1, blocks_per_sm)
+    # for the MMA warp group.  The block is alone on its SM, so it has the SMEM bandwidth.
+    smem_bandwidth = _SMEM_BYTES_PER_CLOCK * gpu.clock_hz
     roundtrip_bytes = tile_elements * (0.5 + 1.0 + 1.0)
     t_roundtrip = roundtrip_bytes / smem_bandwidth
 

@@ -2,7 +2,7 @@
 
 The engine composes the substrates built elsewhere in the library, reaching the
 quantization/kernel core exclusively through the unified backend layer
-(:mod:`repro.backend` — one :class:`~repro.backend.KernelBackend` per (system, device)):
+(:mod:`repro.backend` — one :class:`~repro.backend.KernelBackend` per (system, GPU)):
 
 * per-layer GEMM latency from Equation 6 resolved once per engine: one
   :class:`~repro.costmodel.model.GemmLine` per layer GEMM of :mod:`repro.workloads.shapes`
@@ -44,8 +44,8 @@ import numpy as np
 
 from ..backend import KernelBackend, build_backend
 from ..costmodel.model import GemmLine
-from ..gpu.device import Device
-from ..kernels.base import GemmKernel, as_device
+from ..gpu.specs import GpuSpec, get_gpu
+from ..kernels.base import GemmKernel
 from ..workloads.shapes import decode_layer_gemms, moe_expert_batch
 from .attention import (
     _ATTENTION_LAUNCH_OVERHEAD_S,
@@ -195,7 +195,11 @@ class ServingResult:
 
 
 class ServingEngine:
-    """Performance model of one serving system running one model on one GPU (or TP group)."""
+    """Performance model of one serving system running one model on one GPU (or TP group).
+
+    ``device`` is a :class:`~repro.gpu.specs.GpuSpec` or a GPU name; :func:`get_gpu`
+    resolves it once, into :attr:`gpu`.
+    """
 
     def __init__(
         self,
@@ -208,7 +212,7 @@ class ServingEngine:
     ):
         self.system: SystemProfile = system if isinstance(system, SystemProfile) else get_system(system)
         self.model: ModelConfig = model if isinstance(model, ModelConfig) else get_model(model)
-        self.device: Device = as_device(device)
+        self.gpu: GpuSpec = get_gpu(device)
         self.model.validate_tp(tp_degree)
         self.tp_degree = tp_degree
         # The backend is the engine's one window into the kernel/quant core: GEMM cost
@@ -217,7 +221,7 @@ class ServingEngine:
         # a pre-built (possibly non-registry) backend; by default it is resolved from the
         # profile, which validates kernel and KV-format names up front.
         self.backend: KernelBackend = (
-            backend if backend is not None else build_backend(self.system, self.device)
+            backend if backend is not None else build_backend(self.system, self.gpu)
         )
         self.kernel: GemmKernel = self.backend.kernel
         if self.model.is_moe and not self.system.supports_moe:
@@ -241,16 +245,16 @@ class ServingEngine:
             "step_coeffs": self._step_coeff_cache,
             "chunk_attention": self._chunk_attention_cache,
         }
-        spec = self.device.spec
+        gpu = self.gpu
         attn_eff = self.backend.attention_efficiency
         self._attn_kv_dim = self.model.kv_dim_per_gpu(self.tp_degree)
         self._attn_heads = self.model.heads_per_gpu(self.tp_degree)
         self._attn_kv_bytes = self.backend.kv_bytes_per_element
         # Exactly the scalar sub-expressions of decode_attention_cost_from_totals, hoisted:
         # same operand order, so memoized/vectorized evaluation is bit-identical.
-        self._attn_effective_bw = spec.memory_bandwidth * 0.85 * attn_eff
+        self._attn_effective_bw = gpu.memory_bandwidth * 0.85 * attn_eff
         self._attn_tc_denom = (
-            spec.tensor_core_throughput(_tensor_precision(spec)) * attn_eff
+            gpu.tensor_core_throughput(_tensor_precision(gpu)) * attn_eff
         )
         # Equation 6 resolved once per weight shape: one GemmLine per layer GEMM (QKV,
         # output projection, gate+up, down; for MoE the per-expert FFN shapes) under the
@@ -259,15 +263,15 @@ class ServingEngine:
         # compared).  Pricing a new token count is then a few float operations per line.
         gemms = decode_layer_gemms(self.model, 1, tp_degree=self.tp_degree)
         self._attention_lines = tuple(
-            GemmLine(shape.n, shape.k, spec, self.backend.gemm_cost_params)
+            GemmLine(shape.n, shape.k, gpu, self.backend.gemm_cost_params)
             for shape in gemms.attention_gemms()
         )
         self._ffn_lines = tuple(
-            GemmLine(shape.n, shape.k, spec, self.backend.gemm_cost_params)
+            GemmLine(shape.n, shape.k, gpu, self.backend.gemm_cost_params)
             for shape in (gemms.gate_up[0], gemms.down[0])
         )
         self._lm_head_line = GemmLine(
-            self.model.vocab_size // self.tp_degree, self.model.hidden_size, spec,
+            self.model.vocab_size // self.tp_degree, self.model.hidden_size, gpu,
             self.backend.reference_cost_params,
         )
 
@@ -327,7 +331,7 @@ class ServingEngine:
         payload = num_tokens * self.model.hidden_size * 2.0
         ring = (
             2.0 * (self.tp_degree - 1) / self.tp_degree * payload
-            / self.device.spec.interconnect_bandwidth
+            / self.gpu.interconnect_bandwidth
         )
         return ring + _ALLREDUCE_LATENCY_S
 
@@ -339,7 +343,7 @@ class ServingEngine:
         """
         if num_bytes <= 0:
             return 0.0
-        return num_bytes / self.device.spec.host_link_bandwidth + _HOST_TRANSFER_LATENCY_S
+        return num_bytes / self.gpu.host_link_bandwidth + _HOST_TRANSFER_LATENCY_S
 
     def interconnect_transfer_time(self, num_bytes: float) -> float:
         """One-way KV transfer between two replicas over the GPU interconnect.
@@ -352,7 +356,7 @@ class ServingEngine:
         if num_bytes <= 0:
             return 0.0
         return (
-            num_bytes / self.device.spec.interconnect_bandwidth
+            num_bytes / self.gpu.interconnect_bandwidth
             + _INTERCONNECT_TRANSFER_LATENCY_S
         )
 
@@ -380,7 +384,7 @@ class ServingEngine:
         payload = num_tokens * self.model.vocab_size * 2.0
         ring = (
             (self.tp_degree - 1) / self.tp_degree * payload
-            / self.device.spec.interconnect_bandwidth
+            / self.gpu.interconnect_bandwidth
         )
         return ring + _ALLREDUCE_LATENCY_S
 
@@ -404,7 +408,7 @@ class ServingEngine:
         """Per-layer decode attention of a uniform batch: the decode form at ``(B, B*c)``."""
         return decode_attention_cost_from_totals(
             self.model,
-            self.device.spec,
+            self.gpu,
             batch_size,
             batch_size * context_length,
             self._attn_kv_bytes,
@@ -416,7 +420,7 @@ class ServingEngine:
         elementwise_bytes = (
             _ELEMENTWISE_PASSES * 2.0 * num_tokens * self.model.hidden_size * 2.0
         )
-        elementwise = elementwise_bytes / (self.device.spec.memory_bandwidth * 0.7)
+        elementwise = elementwise_bytes / (self.gpu.memory_bandwidth * 0.7)
         fixed = 6.0e-6 + self.system.framework_overhead_per_layer_s
         return self.system.others_scale * elementwise + fixed
 
@@ -532,7 +536,7 @@ class ServingEngine:
             if chunk_attention is None:
                 chunk_attention = chunked_prefill_attention_cost(
                     self.model,
-                    self.device.spec,
+                    self.gpu,
                     chunk_key[0],
                     chunk_key[1],
                     self._attn_kv_bytes,

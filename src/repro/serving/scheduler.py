@@ -273,11 +273,18 @@ class ContinuousBatchingScheduler:
             )
         if config.memory_budget_bytes <= 0:
             raise KvCacheOutOfMemory("model weights alone exceed the device memory budget")
-        if prefill_chunk_tokens < 1:
-            raise ValueError("prefill_chunk_tokens must be positive")
+        if max_batch_size is None:
+            max_batch_size = engine.system.max_batch_size
+        if max_batched_tokens is None:
+            max_batched_tokens = engine.system.max_batched_tokens
+        for knob, value in (("max_batch_size", max_batch_size),
+                            ("max_batched_tokens", max_batched_tokens),
+                            ("prefill_chunk_tokens", prefill_chunk_tokens)):
+            if value < 1:
+                raise ValueError(f"{knob} must be positive, got {value}")
         self.kv_cache = PagedKvCache(config)
-        self.max_batch_size = max_batch_size or engine.system.max_batch_size
-        self.max_batched_tokens = max_batched_tokens or engine.system.max_batched_tokens
+        self.max_batch_size = max_batch_size
+        self.max_batched_tokens = max_batched_tokens
         self.prefill_chunk_tokens = min(prefill_chunk_tokens, self.max_batched_tokens)
         self.scheduling_policy = get_scheduling_policy(scheduling_policy)
         self.preemption_policy = get_preemption_policy(preemption_policy)
@@ -933,7 +940,7 @@ class ContinuousBatchingScheduler:
         self._pending_transfer_s = 0.0
         self._num_iterations += 1
         self._chunk_count += len(chunks)
-        if self._tracer is not None and self._tracer.span_events:
+        if self._tracer is not None:
             self._tracer.emit(
                 "iteration", iteration_start, replica=self._trace_replica,
                 end=self._clock, decode_batch=decode_batch, chunks=len(chunks),
@@ -1271,12 +1278,11 @@ class ContinuousBatchingScheduler:
             if self._tracer is not None:
                 # One synthesized span per epoch with its closed-form duration: the
                 # timeline shows the wall clock a stepwise run would, per epoch.
-                if self._tracer.span_events:
-                    self._tracer.emit(
-                        "ff_mixed" if takes else "ff_decode", epoch_start,
-                        replica=self._trace_replica, end=new_clock, iterations=k,
-                        decode_batch=batch, chunks=len(takes),
-                    )
+                self._tracer.emit(
+                    "ff_mixed" if takes else "ff_decode", epoch_start,
+                    replica=self._trace_replica, end=new_clock, iterations=k,
+                    decode_batch=batch, chunks=len(takes),
+                )
                 self._maybe_sample_counters()
             still_running: List[Request] = []
             for request in running:

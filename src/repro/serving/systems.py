@@ -60,6 +60,8 @@ class SystemProfile:
             raise ValueError("attention_efficiency must be in (0, 1]")
         if self.framework_overhead_per_layer_s < 0:
             raise ValueError("framework overhead must be non-negative")
+        if self.max_batch_size < 1:
+            raise ValueError("max_batch_size must be positive")
         if self.max_batched_tokens < 1:
             raise ValueError("max_batched_tokens must be positive")
         if self.host_kv_swap_bytes < 0:

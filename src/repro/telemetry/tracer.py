@@ -89,13 +89,10 @@ class Tracer:
 
     ``sample_interval_s`` is the gauge-sampling cadence on the *simulated* clock;
     samples are taken at iteration / fast-forward-epoch boundaries, so the actual
-    spacing is ``>= sample_interval_s``.  Set ``span_events=False`` to suppress the
-    high-volume engine spans (``iteration`` / ``chunk_prefill``) and keep only the
-    request-lifecycle stream.
+    spacing is ``>= sample_interval_s``.
     """
 
     sample_interval_s: float = 0.1
-    span_events: bool = True
     label: str = "trace"
     events: List[TraceEvent] = field(default_factory=list)
     counters: List[CounterSample] = field(default_factory=list)

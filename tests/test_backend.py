@@ -25,7 +25,7 @@ from repro.backend import (
     scheme_output_rmse,
     weight_quant_scheme,
 )
-from repro.costmodel.model import GemmShape
+from repro.costmodel.model import GemmShape, gemm_cost
 from repro.kernels.registry import get_kernel
 from repro.quant.kvcache import KV_FORMATS, kv_bytes_per_element
 from repro.serving.engine import PrefillChunk, ServingEngine
@@ -57,7 +57,8 @@ PHASE_SHAPES = {
 def test_costs_finite_and_positive(system_name, phase):
     backend = build_backend(get_system(system_name))
     shape = PHASE_SHAPES[phase]
-    for t in (backend.gemm_time(shape), backend.reference_gemm_time(shape)):
+    for params in (backend.gemm_cost_params, backend.reference_cost_params):
+        t = gemm_cost(shape, backend.gpu, params).total
         assert math.isfinite(t) and t > 0.0
 
 
@@ -82,15 +83,14 @@ def test_bit_identical_to_direct_registry_composition(system_name):
     """The backend resolves exactly what the engine used to scavenge piecemeal."""
     profile = get_system(system_name)
     backend = build_backend(profile, "H800")
-    spec = backend.device.spec
+    spec = backend.gpu
     assert backend.gemm_cost_params == get_kernel(profile.kernel).cost_params(spec)
     assert backend.reference_cost_params == get_kernel("fp16").cost_params(spec)
     assert backend.kv_bytes_per_element == kv_bytes_per_element(profile.kv_format)
     shape = PHASE_SHAPES["mixed"]
-    from repro.costmodel.model import gemm_cost
-
     direct = gemm_cost(shape, spec, get_kernel(profile.kernel).cost_params(spec)).total
-    assert backend.gemm_time(shape) == direct  # bit-identical, not approx
+    # bit-identical, not approx
+    assert gemm_cost(shape, backend.gpu, backend.gemm_cost_params).total == direct
 
 
 @pytest.mark.parametrize("system_name", ALL_SYSTEMS)
@@ -99,9 +99,9 @@ def test_deployed_size_accounting(system_name):
     model = get_model("llama2-7b")
     deployed = backend.deployed_weight_bytes(model, tp_degree=1)
     budget = backend.kv_budget_bytes(model, tp_degree=1)
-    assert 0 < deployed < backend.device.spec.memory_capacity
+    assert 0 < deployed < backend.gpu.memory_capacity
     assert budget == int(
-        max(0, backend.device.spec.memory_capacity - deployed - ACTIVATION_RESERVE_BYTES)
+        max(0, backend.gpu.memory_capacity - deployed - ACTIVATION_RESERVE_BYTES)
     )
     # TP sharding shrinks the per-GPU shard.
     assert backend.deployed_weight_bytes(model, tp_degree=2) < deployed

@@ -99,7 +99,7 @@ class TestKernelToServingIntegration:
         engine = ServingEngine("liquidserve", "llama2-7b")
         gemms = decode_layer_gemms(engine.model, 64)
         expected = sum(
-            engine.kernel.estimate(s, engine.device).latency_s for s in gemms.all()
+            engine.kernel.estimate(s, engine.gpu).latency_s for s in gemms.all()
         )
         assert engine.layer_gemm_time(64) == pytest.approx(expected, rel=1e-6)
 

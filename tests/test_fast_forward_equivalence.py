@@ -577,7 +577,7 @@ class TestDecodeCostClosedForm:
         for batch, total in [(1, 1), (7, 4096), (29, 29 * 800)]:
             attention = decode_attention_cost_from_totals(
                 engine.model,
-                engine.device.spec,
+                engine.gpu,
                 batch,
                 float(total),
                 kv_bytes_per_element(engine.system.kv_format),

@@ -1,128 +1,10 @@
-"""Tests for the memory hierarchy model (repro.gpu.memory)."""
+"""Tests for the shared-memory bank-conflict model (repro.gpu.memory)."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.gpu import (
-    H800,
-    GlobalMemory,
-    MemoryRegion,
-    OutOfMemoryError,
-    RegisterFile,
-    SharedMemory,
-    TrafficCounter,
-    bytes_for,
-    smem_bank_conflicts,
-)
+from repro.gpu import smem_bank_conflicts
 from repro.gpu.memory import smem_bank_conflicts_phased
-
-
-class TestBytesFor:
-    @pytest.mark.parametrize(
-        "n, precision, expected",
-        [
-            (8, "int4", 4),
-            (7, "int4", 4),      # rounds up to whole bytes
-            (1, "int4", 1),
-            (10, "int8", 10),
-            (10, "fp16", 20),
-            (3, "fp32", 12),
-            (0, "int4", 0),
-        ],
-    )
-    def test_values(self, n, precision, expected):
-        assert bytes_for(n, precision) == expected
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            bytes_for(-1, "int8")
-
-
-class TestTrafficCounter:
-    def test_accumulates(self):
-        t = TrafficCounter()
-        t.record_read(100)
-        t.record_write(50)
-        t.record_read(10)
-        assert t.bytes_read == 110
-        assert t.bytes_written == 50
-        assert t.num_reads == 2
-        assert t.num_writes == 1
-        assert t.total_bytes == 160
-
-    def test_merged(self):
-        a, b = TrafficCounter(), TrafficCounter()
-        a.record_read(5)
-        b.record_write(7)
-        merged = a.merged(b)
-        assert merged.bytes_read == 5 and merged.bytes_written == 7
-
-    def test_reset(self):
-        t = TrafficCounter()
-        t.record_read(5)
-        t.reset()
-        assert t.total_bytes == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            TrafficCounter().record_read(-1)
-
-
-class TestMemoryRegion:
-    def test_allocate_and_free(self):
-        region = MemoryRegion("test", capacity=100)
-        region.allocate("a", 60)
-        assert region.used == 60 and region.free_bytes == 40
-        assert region.free("a") == 60
-        assert region.used == 0
-
-    def test_over_allocation_raises(self):
-        region = MemoryRegion("test", capacity=100)
-        region.allocate("a", 60)
-        with pytest.raises(OutOfMemoryError):
-            region.allocate("b", 50)
-
-    def test_duplicate_label_raises(self):
-        region = MemoryRegion("test", capacity=100)
-        region.allocate("a", 10)
-        with pytest.raises(ValueError):
-            region.allocate("a", 10)
-
-    def test_resize_within_capacity(self):
-        region = MemoryRegion("test", capacity=100)
-        region.allocate("a", 10)
-        region.resize("a", 90)
-        assert region.used == 90
-        with pytest.raises(OutOfMemoryError):
-            region.resize("a", 101)
-
-    def test_free_unknown_raises(self):
-        with pytest.raises(KeyError):
-            MemoryRegion("test", capacity=10).free("missing")
-
-    def test_fits(self):
-        region = MemoryRegion("test", capacity=10)
-        assert region.fits(10) and not region.fits(11)
-
-
-class TestDerivedRegions:
-    def test_global_memory_capacity_and_transfer(self):
-        gmem = GlobalMemory(H800)
-        assert gmem.capacity == H800.memory_capacity
-        assert gmem.transfer_time(3.3e12) == pytest.approx(1.0)
-        assert gmem.transfer_time(3.3e12, efficiency=0.5) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            gmem.transfer_time(1, efficiency=0.0)
-
-    def test_shared_memory(self):
-        smem = SharedMemory(H800)
-        assert smem.capacity == H800.smem_per_sm
-        assert smem.num_banks == 32
-
-    def test_register_file(self):
-        rf = RegisterFile(H800)
-        rf.allocate("acc", 1024)
-        assert rf.registers_used() == 256
 
 
 class TestBankConflicts:

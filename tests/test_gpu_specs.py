@@ -67,6 +67,11 @@ class TestGpuSpecHelpers:
         assert get_gpu("h800") is H800
         assert get_gpu("A100") is A100
 
+    def test_spec_resolves_to_itself(self):
+        assert get_gpu(H800) is H800
+        custom = H800.with_overrides(name="H800-custom", host_link_bandwidth=1e9)
+        assert get_gpu(custom) is custom
+
     def test_registry_unknown(self):
         with pytest.raises(KeyError):
             get_gpu("B200")
@@ -75,16 +80,6 @@ class TestGpuSpecHelpers:
         gpus = list_gpus()
         gpus["fake"] = A100
         assert "fake" not in list_gpus()
-
-    def test_threads_per_warp_group(self):
-        assert H800.threads_per_warp_group == 128
-
-    def test_per_sm_division(self):
-        assert H800.per_sm_bandwidth() == pytest.approx(H800.memory_bandwidth / H800.num_sms)
-        assert H800.per_sm_tensor_ops("int8") == pytest.approx(
-            H800.tensor_core_throughput("int8") / H800.num_sms
-        )
-        assert H800.per_sm_cuda_ops() == pytest.approx(H800.cuda_core_int32_tops / H800.num_sms)
 
     def test_with_overrides_does_not_mutate(self):
         modified = H800.with_overrides(num_sms=10)

@@ -48,10 +48,6 @@ class TestIterationTiming:
         assert work.concurrent_blocks == 132
         assert work.tiles_per_block >= 1
 
-    def test_decompose_validation(self):
-        with pytest.raises(ValueError):
-            decompose_work(GemmShape(1, 1, 1), H800, KERNEL_PARAMS, blocks_per_sm=0)
-
 
 class TestSerialPipeline:
     def test_steady_state_is_max_of_load_and_compute(self):

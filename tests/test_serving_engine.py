@@ -138,6 +138,32 @@ class TestServingEngineMemory:
         assert int4.bytes_per_token < int8.bytes_per_token
 
 
+class TestGpuResolution:
+    """``device`` is a GPU name or a ``GpuSpec``; ``get_gpu`` resolves it once, and the
+    engine and its backend price everything from that one spec."""
+
+    def test_name_and_spec_resolve_to_the_registered_spec(self):
+        for device in ("h800", "H800", H800):
+            engine = ServingEngine("liquidserve", "llama2-7b", device=device)
+            assert engine.gpu is H800
+            assert engine.backend.gpu is H800
+
+    def test_overridden_spec_sets_the_host_link(self):
+        slow = H800.with_overrides(host_link_bandwidth=1e9)
+        engine = ServingEngine("liquidserve", "llama2-7b", device=slow)
+        stock = ServingEngine("liquidserve", "llama2-7b")
+        assert engine.gpu is slow
+        nbytes = 2**30
+        assert engine.kv_transfer_time(nbytes) - stock.kv_transfer_time(nbytes) == (
+            pytest.approx(nbytes / 1e9 - nbytes / H800.host_link_bandwidth)
+        )
+
+    def test_unknown_gpu_lists_the_known_ones(self):
+        with pytest.raises(KeyError, match="known") as excinfo:
+            ServingEngine("liquidserve", "llama2-7b", device="B200")
+        assert "h800" in str(excinfo.value) and "B200" in str(excinfo.value)
+
+
 class TestServingEngineTiming:
     def test_breakdown_positive_and_additive(self):
         engine = ServingEngine("liquidserve", "llama2-7b")
@@ -275,7 +301,7 @@ def _reference_layer_gemm_time(engine, m):
     """Per-shape Equation 6: ``gemm_cost(shape).total`` summed over the layer's GEMM
     shapes, each expert's FFN GEMMs added in sequence (a dense model has one expert)."""
     gemms = decode_layer_gemms(engine.model, m, tp_degree=engine.tp_degree)
-    spec, params = engine.device.spec, engine.backend.gemm_cost_params
+    spec, params = engine.gpu, engine.backend.gemm_cost_params
     total = 0.0
     for shape in gemms.attention_gemms():
         total += gemm_cost(shape, spec, params).total
@@ -288,7 +314,7 @@ def _reference_lm_head_time(engine, m):
     model = engine.model
     shape = GemmShape(m, model.vocab_size // engine.tp_degree, model.hidden_size)
     return (
-        gemm_cost(shape, engine.device.spec, engine.backend.reference_cost_params).total
+        gemm_cost(shape, engine.gpu, engine.backend.reference_cost_params).total
         + engine._logits_gather_time(m)
     )
 
@@ -347,8 +373,9 @@ class TestClosedFormGemmLines:
                                arrival_rate_rps=20.0, seed=0)
         assert sim.stats.completed_requests == 40
         assert len(calls) == 0
-        # The counter is live: a per-shape estimate through the backend reaches it.
-        ServingEngine("liquidserve", model).backend.gemm_time(GemmShape(1, 64, 64))
+        # The counter is live: a per-shape estimate through the kernel reaches it.
+        engine = ServingEngine("liquidserve", model)
+        engine.kernel.estimate(GemmShape(1, 64, 64), engine.gpu)
         assert len(calls) == 1
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.gpu import H800
 from repro.serving import (
     ContinuousBatchingScheduler,
     CostBasedPreemption,
@@ -130,7 +131,9 @@ class TestFairnessEndToEnd:
 
 
 class TestCostBasedDecision:
-    def _victim_setup(self, engine, tokens, host_link_bandwidth):
+    def _victim_setup(self, tokens, host_link_bandwidth):
+        spec = H800.with_overrides(host_link_bandwidth=host_link_bandwidth)
+        engine = ServingEngine("trt-fp16", "llama2-7b", device=spec)
         scheduler = ContinuousBatchingScheduler(
             engine, kv_budget_bytes=2 * 2**30, host_kv_budget_bytes=2 * 2**30
         )
@@ -138,18 +141,13 @@ class TestCostBasedDecision:
         victim.prefill_target = tokens
         victim.prefilled = tokens
         scheduler.kv_cache.add_sequence(0, tokens)
-        spec = engine.device.spec.with_overrides(host_link_bandwidth=host_link_bandwidth)
-        engine.device.spec = spec
-        return scheduler, victim
+        return engine, scheduler, victim
 
     def test_fast_link_prefers_swap_slow_link_prefers_recompute(self):
-        # Fresh engines: the device spec is mutated per case.
-        fast = ServingEngine("trt-fp16", "llama2-7b")
-        sched_fast, victim = self._victim_setup(fast, 2048, host_link_bandwidth=200e9)
+        fast, sched_fast, victim = self._victim_setup(2048, host_link_bandwidth=200e9)
         assert CostBasedPreemption().decide(victim, fast, sched_fast.kv_cache) == "swap"
 
-        slow = ServingEngine("trt-fp16", "llama2-7b")
-        sched_slow, victim = self._victim_setup(slow, 2048, host_link_bandwidth=1e9)
+        slow, sched_slow, victim = self._victim_setup(2048, host_link_bandwidth=1e9)
         assert CostBasedPreemption().decide(victim, slow, sched_slow.kv_cache) == "recompute"
 
     def test_no_host_room_forces_recompute(self, engine):
@@ -254,11 +252,9 @@ class TestHybridRecomputeEndToEnd:
     """
 
     def _slow_link_engine(self):
-        from repro.gpu import Device, H800
-
         spec = H800.with_overrides(name="H800-slow-host-link",
                                    host_link_bandwidth=0.5e9)
-        return ServingEngine("liquidserve", "llama2-7b", device=Device(spec))
+        return ServingEngine("liquidserve", "llama2-7b", device=spec)
 
     def _kv_pressure_trace(self):
         from repro.workloads.traces import (

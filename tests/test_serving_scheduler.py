@@ -4,15 +4,18 @@ step-cost API it drives."""
 
 import pytest
 
+from repro.core import simulate_serving
 from repro.serving import (
     ContinuousBatchingScheduler,
     KvCacheConfig,
     PagedKvCache,
     PrefillChunk,
     Request,
+    ServingCluster,
     ServingEngine,
     SloSpec,
     get_model,
+    get_system,
 )
 
 
@@ -147,6 +150,43 @@ class TestSchedulerBasics:
         slow_p50_before = slow.slo_report().p50_ttft_s
         ContinuousBatchingScheduler(engine, max_batch_size=8).run(requests)
         assert slow.slo_report().p50_ttft_s == pytest.approx(slow_p50_before)
+
+
+class TestBatchLimitValidation:
+    """A batch limit below 1 is an error that names the knob, at construction, on every
+    entry point; ``None`` (and only ``None``) means the system profile's default."""
+
+    @pytest.mark.parametrize("knob", ["max_batch_size", "max_batched_tokens"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_scheduler_rejects(self, engine, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            ContinuousBatchingScheduler(engine, **{knob: value})
+
+    @pytest.mark.parametrize("knob", ["max_batch_size", "max_batched_tokens"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_cluster_rejects(self, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            ServingCluster("liquidserve", "llama2-7b", **{knob: value})
+
+    @pytest.mark.parametrize("knob", ["max_batch_size", "max_batched_tokens"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_simulate_serving_rejects(self, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            simulate_serving("liquidserve", "llama2-7b", num_requests=4, **{knob: value})
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_system_profile_rejects_batch_size(self, value):
+        with pytest.raises(ValueError, match="max_batch_size"):
+            get_system("liquidserve").derive(max_batch_size=value)
+
+    def test_none_means_system_default(self, engine):
+        scheduler = ContinuousBatchingScheduler(engine)
+        assert scheduler.max_batch_size == engine.system.max_batch_size
+        assert scheduler.max_batched_tokens == engine.system.max_batched_tokens
+        scheduler = ContinuousBatchingScheduler(engine, max_batch_size=1,
+                                                max_batched_tokens=1)
+        assert scheduler.max_batch_size == 1
+        assert scheduler.max_batched_tokens == scheduler.prefill_chunk_tokens == 1
 
 
 class TestHeapAdmission:
