@@ -7,19 +7,26 @@ K/V elements from HBM, followed by a comparatively small amount of Tensor-Core w
 KV-cache precision (FP8 / INT8 / INT4) and the attention kernel's sustained bandwidth are what
 differentiate the serving systems in Figures 4 and 10.
 
-Two cost forms are provided, the two :meth:`~repro.serving.engine.ServingEngine.iteration_time`
-prices every iteration with:
+:class:`AttentionLine` holds the two cost forms for one model shard on one GPU, with every
+term that does not depend on the iteration resolved once (KV dim, heads, head dim, KV bytes
+per element, and the bandwidth and Tensor-Core denominators):
 
-* :func:`decode_attention_cost_from_totals` — one decode step over a batch, given its size
-  and its *summed* cached context.  Every term is linear per sequence, so a ragged batch
-  costs what its totals say, and a uniform batch of ``B`` sequences at context ``c`` is the
-  call at ``(B, B * c)`` (the Table 1 / Figure 4 fixed-batch quantity);
-* :func:`chunked_prefill_attention_cost` — one prefill chunk attending causally over the
-  already-cached prefix plus itself (Sarathi-style chunked prefill).  A whole prompt is the
-  chunk at ``context_start=0``.  The cached prefix may be a scalar (one chunk) or an int64
-  array (one chunk size priced at many prefix lengths, elementwise).
+* the *decode* form — one decode step over a batch, given its size and its *summed* cached
+  context.  Every term is linear per sequence, so a ragged batch costs what its totals say,
+  and a uniform batch of ``B`` sequences at context ``c`` is the form at ``(B, B * c)`` (the
+  Table 1 / Figure 4 fixed-batch quantity);
+* the *chunk* form — one prefill chunk attending causally over the already-cached prefix
+  plus itself (Sarathi-style chunked prefill).  A whole prompt is the chunk at
+  ``context_start=0``.
 
-Both accept a ``tp_degree``: with Megatron-style tensor parallelism the query heads are
+Both forms take scalars or int64 arrays (a run of iterations, elementwise) and run the same
+operations in the same order either way, so each element equals the scalar evaluation bit
+for bit.  :class:`~repro.serving.engine.ServingEngine` keeps one line and prices every
+iteration through it; :func:`decode_attention_cost_from_totals` and
+:func:`chunked_prefill_attention_cost` are one-call wrappers that validate their arguments
+and return the :class:`AttentionCost` split.
+
+Every form takes a ``tp_degree``: with Megatron-style tensor parallelism the query heads are
 split ``tp_degree`` ways and the KV heads are split (or replicated, for GQA models with fewer
 KV heads than GPUs), so each GPU streams and computes only its shard.  The costs returned are
 *per GPU* — the group runs in lockstep, so the per-GPU time is the step time.
@@ -37,6 +44,7 @@ from .models import ModelConfig
 
 __all__ = [
     "AttentionCost",
+    "AttentionLine",
     "decode_attention_cost_from_totals",
     "chunked_prefill_attention_cost",
 ]
@@ -73,6 +81,93 @@ def _check_efficiency(attention_efficiency: float) -> None:
         raise ValueError("attention_efficiency must be in (0, 1]")
 
 
+class AttentionLine:
+    """Decode and chunked-prefill attention for one model shard on one GPU.
+
+    Everything that does not depend on the iteration is resolved once: the per-GPU KV dim
+    and head count, the head dim, the KV-cache bytes per element, the effective bandwidth
+    and the two Tensor-Core denominators (decode, and prefill at 0.6 of it).  Every term
+    is evaluated left to right in one fixed operand order (``2.0 * tokens * kv_dim *
+    kv_bytes / bw``), so an int64-array evaluation equals the scalar one element for
+    element, bit for bit.
+
+    ``attention_efficiency`` scales the *whole* kernel (bandwidth and compute alike) and is
+    the knob that distinguishes the systems' attention implementations (e.g. TRT-FP8's
+    FP8-optimized attention vs. QServe's kernels on GQA models); see
+    :mod:`repro.serving.systems` for the calibrated per-system values.
+    """
+
+    __slots__ = ("kv_dim", "heads", "head_dim", "kv_bytes_per_element", "_effective_bw",
+                 "_decode_tc", "_chunk_tc")
+
+    def __init__(
+        self,
+        model: ModelConfig,
+        gpu: GpuSpec,
+        kv_bytes_per_element: float,
+        bandwidth_efficiency: float = 0.85,
+        attention_efficiency: float = 1.0,
+        tp_degree: int = 1,
+    ):
+        _check_efficiency(attention_efficiency)
+        self.kv_dim = model.kv_dim_per_gpu(tp_degree)
+        self.heads = model.heads_per_gpu(tp_degree)
+        self.head_dim = model.head_dim
+        self.kv_bytes_per_element = kv_bytes_per_element
+        self._effective_bw = gpu.memory_bandwidth * bandwidth_efficiency * attention_efficiency
+        peak = gpu.tensor_core_throughput(_tensor_precision(gpu))
+        self._decode_tc = peak * attention_efficiency
+        # Prefill-style attention sustains lower Tensor-Core utilization than pure GEMM.
+        self._chunk_tc = peak * 0.6 * attention_efficiency
+
+    def _kv_time(self, tokens):
+        """Streaming ``2 x tokens x kv_dim`` K/V elements: a read of cached context or the
+        write of new entries."""
+        return 2.0 * tokens * self.kv_dim * self.kv_bytes_per_element / self._effective_bw
+
+    def _decode_compute(self, total_context):
+        """``q·K^T`` and ``p·V``: 2 * context * heads * head_dim MACs each per sequence."""
+        return 8.0 * total_context * self.heads * self.head_dim / self._decode_tc
+
+    def _chunk_compute(self, chunk_tokens: int, context_start):
+        """The chunk's causal attention: each query position q attends over
+        ``context_start + (its offset + 1)`` keys."""
+        attended = chunk_tokens * context_start + chunk_tokens * (chunk_tokens + 1) / 2.0
+        return 8.0 * attended * self.heads * self.head_dim / self._chunk_tc
+
+    def decode(self, batch_size: int, total_context):
+        """Total decode attention of ``batch_size`` sequences over ``total_context``."""
+        return (
+            self._kv_time(total_context) + self._kv_time(batch_size)
+            + self._decode_compute(total_context) + _ATTENTION_LAUNCH_OVERHEAD_S
+        )
+
+    def chunk(self, chunk_tokens: int, context_start):
+        """Total attention of one ``chunk_tokens`` chunk over ``context_start`` cached."""
+        return (
+            self._kv_time(context_start) + self._kv_time(chunk_tokens)
+            + self._chunk_compute(chunk_tokens, context_start) + _ATTENTION_LAUNCH_OVERHEAD_S
+        )
+
+    def decode_cost(self, batch_size: int, total_context) -> AttentionCost:
+        """:meth:`decode` split into its terms; ``.total`` equals it bit for bit."""
+        return AttentionCost(
+            kv_read=self._kv_time(total_context),
+            kv_write=self._kv_time(batch_size),
+            compute=self._decode_compute(total_context),
+            overhead=_ATTENTION_LAUNCH_OVERHEAD_S,
+        )
+
+    def chunk_cost(self, chunk_tokens: int, context_start) -> AttentionCost:
+        """:meth:`chunk` split into its terms; ``.total`` equals it bit for bit."""
+        return AttentionCost(
+            kv_read=self._kv_time(context_start),
+            kv_write=self._kv_time(chunk_tokens),
+            compute=self._chunk_compute(chunk_tokens, context_start),
+            overhead=_ATTENTION_LAUNCH_OVERHEAD_S,
+        )
+
+
 def decode_attention_cost_from_totals(
     model: ModelConfig,
     gpu: GpuSpec,
@@ -87,42 +182,17 @@ def decode_attention_cost_from_totals(
 
     Every term of the ragged decode model is linear per sequence, so one layer's cost is a
     function of ``(batch_size, sum(context_lengths))`` alone; a uniform batch at context
-    ``c`` is ``total_context = batch_size * c``.  The serving engine hoists this function's
-    scalar sub-expressions and evaluates them in the same operand order, so its memoized and
-    vectorized decode attention equals this call bit for bit.
-
-    ``attention_efficiency`` scales the *whole* kernel (bandwidth and compute alike) and is the
-    knob that distinguishes the systems' attention implementations (e.g. TRT-FP8's
-    FP8-optimized attention vs. QServe's kernels on GQA models); see
-    :mod:`repro.serving.systems` for the calibrated per-system values.
+    ``c`` is ``total_context = batch_size * c``.  One :meth:`AttentionLine.decode_cost`;
+    callers that price many iterations keep the line.
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
     if total_context < batch_size:
         raise ValueError("total_context must cover at least one token per sequence")
-    _check_efficiency(attention_efficiency)
-
-    kv_dim = model.kv_dim_per_gpu(tp_degree)
-    heads = model.heads_per_gpu(tp_degree)
-
-    effective_bw = gpu.memory_bandwidth * bandwidth_efficiency * attention_efficiency
-
-    kv_elements = 2.0 * total_context * kv_dim
-    kv_read = kv_elements * kv_bytes_per_element / effective_bw
-
-    new_kv_bytes = 2.0 * batch_size * kv_dim * kv_bytes_per_element
-    kv_write = new_kv_bytes / effective_bw
-
-    # q·K^T and p·V: 2 * context * heads * head_dim MACs each per sequence.
-    flops = 8.0 * total_context * heads * model.head_dim
-    compute = flops / (gpu.tensor_core_throughput(_tensor_precision(gpu)) * attention_efficiency)
-
-    return AttentionCost(
-        kv_read=kv_read,
-        kv_write=kv_write,
-        compute=compute,
-        overhead=_ATTENTION_LAUNCH_OVERHEAD_S,
-    )
+    return AttentionLine(
+        model, gpu, kv_bytes_per_element, bandwidth_efficiency, attention_efficiency,
+        tp_degree,
+    ).decode_cost(batch_size, total_context)
 
 
 def chunked_prefill_attention_cost(
@@ -143,37 +213,15 @@ def chunked_prefill_attention_cost(
     produced on the fly and written back once.  A whole prompt is the chunk at
     ``context_start=0``: its attention is quadratic in the prompt length.
 
-    An int ``context_start`` prices one chunk in plain Python arithmetic.  An int64 array
-    prices the same chunk size at many cached-prefix lengths — the shape of a pinned
-    fast-forward epoch, where a prefill advances by one chunk per iteration — and every term
-    is then an array.  Both run the same operations in the same order, so each element
-    equals the scalar call at that prefix length bit for bit.
+    An int ``context_start`` prices one chunk; an int64 array prices the same chunk size at
+    many cached-prefix lengths, elementwise.  One :meth:`AttentionLine.chunk_cost`.
     """
     if chunk_tokens <= 0:
         raise ValueError("chunk_tokens must be positive")
     lowest = context_start.min() if isinstance(context_start, np.ndarray) else context_start
     if lowest < 0:
         raise ValueError("context_start must be non-negative")
-    _check_efficiency(attention_efficiency)
-
-    kv_dim = model.kv_dim_per_gpu(tp_degree)
-    heads = model.heads_per_gpu(tp_degree)
-    effective_bw = gpu.memory_bandwidth * bandwidth_efficiency * attention_efficiency
-
-    # Each query position q in the chunk attends over context_start + (its offset + 1) keys.
-    attended = chunk_tokens * context_start + chunk_tokens * (chunk_tokens + 1) / 2.0
-
-    kv_read = 2.0 * context_start * kv_dim * kv_bytes_per_element / effective_bw
-    kv_write = 2.0 * chunk_tokens * kv_dim * kv_bytes_per_element / effective_bw
-
-    flops = 8.0 * attended * heads * model.head_dim
-    # Prefill-style attention sustains lower Tensor-Core utilization than pure GEMM.
-    compute = flops / (
-        gpu.tensor_core_throughput(_tensor_precision(gpu)) * 0.6 * attention_efficiency
-    )
-    return AttentionCost(
-        kv_read=kv_read,
-        kv_write=kv_write,
-        compute=compute,
-        overhead=_ATTENTION_LAUNCH_OVERHEAD_S,
-    )
+    return AttentionLine(
+        model, gpu, kv_bytes_per_element, bandwidth_efficiency, attention_efficiency,
+        tp_degree,
+    ).chunk_cost(chunk_tokens, context_start)

@@ -8,8 +8,9 @@ quantization/kernel core exclusively through the unified backend layer
   :class:`~repro.costmodel.model.GemmLine` per layer GEMM of :mod:`repro.workloads.shapes`
   under the backend's kernel (MoE layers become grouped per-expert GEMMs) and one for the
   LM head under its reference kernel, so a new token count costs a few float operations;
-* attention cost from the decode and chunked-prefill forms of :mod:`repro.serving.attention`
-  with the backend's KV-cache bytes-per-element and attention efficiency;
+* attention cost from one :class:`~repro.serving.attention.AttentionLine`: the decode and
+  chunked-prefill forms resolved once per engine under the backend's KV-cache
+  bytes-per-element and attention efficiency;
 * an "Others" bucket (element-wise kernels: layer norms, rotary embedding, residuals, SwiGLU
   activation, dynamic activation quantization) plus per-layer framework overhead;
 * KV-cache capacity from the paged allocator (:mod:`repro.serving.kvcache`) under the GPU
@@ -20,7 +21,8 @@ paper's fixed-batch figures alike: ``iteration_time`` charges one iteration — 
 over their summed cached context plus prefill chunks over their cached prefixes — or,
 elementwise, a whole run of them.  The scheduler charges its iterations through it
 (``mixed_step_time`` is its wrapper over per-sequence contexts and :class:`PrefillChunk`
-objects), and the fixed-batch API is a set of thin wrappers over it:
+objects; ``price_epoch`` prices a whole fast-forward epoch in one call), and the
+fixed-batch API is a set of thin wrappers over it:
 
 * ``decode_step_time(B, c)`` is one decode iteration of ``B`` sequences at context ``c``;
 * ``prefill_time(B, L)`` is one iteration of ``B`` whole ``L``-token prompts, so the prefill
@@ -47,12 +49,7 @@ from ..costmodel.model import GemmLine
 from ..gpu.specs import GpuSpec, get_gpu
 from ..kernels.base import GemmKernel
 from ..workloads.shapes import decode_layer_gemms, moe_expert_batch
-from .attention import (
-    _ATTENTION_LAUNCH_OVERHEAD_S,
-    _tensor_precision,
-    chunked_prefill_attention_cost,
-    decode_attention_cost_from_totals,
-)
+from .attention import AttentionLine
 from .kvcache import KvCacheConfig, PagedKvCache
 from .models import ModelConfig, get_model
 from .systems import SystemProfile, get_system
@@ -119,6 +116,12 @@ _ALLREDUCE_LATENCY_S = 8.0e-6
 _HOST_TRANSFER_LATENCY_S = 15.0e-6
 #: Fixed setup latency of one GPU-to-GPU KV handoff over the interconnect (P2P launch).
 _INTERCONNECT_TRANSFER_LATENCY_S = 10.0e-6
+#: Iteration count from which :meth:`ServingEngine.price_epoch` prices with one array
+#: evaluation instead of a scalar loop.  Measured on a 2-vCPU Xeon host: the loop costs
+#: about 0.7 us per iteration plus 0.6 us per chunk, the array form about 19 us plus 11 us
+#: per chunk at any length.  Priced that way, the epochs of one pass of each perfbench
+#: serving workload cost least at 32, and within 1% of that anywhere from 28 to 40.
+_EPOCH_ARRAY_ITERATIONS = 32
 
 
 @dataclass
@@ -198,7 +201,8 @@ class ServingEngine:
     """Performance model of one serving system running one model on one GPU (or TP group).
 
     ``device`` is a :class:`~repro.gpu.specs.GpuSpec` or a GPU name; :func:`get_gpu`
-    resolves it once, into :attr:`gpu`.
+    resolves it once, into :attr:`gpu`, and every cost the engine prices comes from that
+    one GPU: the backend, the GEMM lines and the attention line are all resolved on it.
     """
 
     def __init__(
@@ -208,7 +212,6 @@ class ServingEngine:
         device="H800",
         tp_degree: int = 1,
         memo_cache_entries: int = _MEMO_CACHE_ENTRIES,
-        backend: Optional[KernelBackend] = None,
     ):
         self.system: SystemProfile = system if isinstance(system, SystemProfile) else get_system(system)
         self.model: ModelConfig = model if isinstance(model, ModelConfig) else get_model(model)
@@ -217,44 +220,31 @@ class ServingEngine:
         self.tp_degree = tp_degree
         # The backend is the engine's one window into the kernel/quant core: GEMM cost
         # params (system kernel + the reference kernel for LM head / recompute baselines),
-        # KV bytes-per-element, deployed-size accounting.  ``backend`` lets callers inject
-        # a pre-built (possibly non-registry) backend; by default it is resolved from the
-        # profile, which validates kernel and KV-format names up front.
-        self.backend: KernelBackend = (
-            backend if backend is not None else build_backend(self.system, self.gpu)
-        )
+        # KV bytes-per-element, attention efficiency, deployed-size accounting.  Resolving
+        # it from the profile validates kernel and KV-format names up front.
+        self.backend: KernelBackend = build_backend(self.system, self.gpu)
         self.kernel: GemmKernel = self.backend.kernel
         if self.model.is_moe and not self.system.supports_moe:
             self.supported = False
         else:
             self.supported = True
-        # Two step-cost memos, both bounded (``memo_cache_entries``, FIFO eviction) so a
-        # long multi-configuration sweep reusing one engine cannot grow memory without
-        # bound; sizes and eviction counts are exposed by :meth:`cache_stats`.  The first
-        # holds one iteration's context-independent terms (decode KV write, layer GEMMs,
-        # element-wise kernels, all-reduces, LM head), keyed by the iteration's (decode
-        # batch, total tokens, logits tokens): the few shapes a run repeats.  Each term
-        # is a closed form of a few float operations, so none is memoized on its own.
+        # One step-cost memo, bounded (``memo_cache_entries``, FIFO eviction) so a long
+        # multi-configuration sweep reusing one engine cannot grow memory without bound;
+        # its size and eviction count are exposed by :meth:`cache_stats`.  It holds one
+        # iteration's context-independent terms (layer GEMMs, element-wise kernels,
+        # all-reduces, LM head), keyed by the iteration's (total tokens, logits tokens):
+        # the few shapes a run repeats.  Each term is a closed form of a few float
+        # operations, so none is memoized on its own.
         self._step_coeff_cache: Dict[
-            Tuple[int, int, int], Tuple[float, float, float, float, float]
+            Tuple[int, int], Tuple[float, float, float, float]
         ] = _BoundedMemo(memo_cache_entries)
-        # Chunked-prefill attention repeats heavily at the scheduler's fixed chunk
-        # granularity (e.g. (256, 0), (256, 256), ...), so it memoizes on the chunk shape.
-        self._chunk_attention_cache: Dict[Tuple[int, int], float] = _BoundedMemo(memo_cache_entries)
-        self._memo_caches: Dict[str, _BoundedMemo] = {
-            "step_coeffs": self._step_coeff_cache,
-            "chunk_attention": self._chunk_attention_cache,
-        }
+        self._memo_caches: Dict[str, _BoundedMemo] = {"step_coeffs": self._step_coeff_cache}
         gpu = self.gpu
-        attn_eff = self.backend.attention_efficiency
-        self._attn_kv_dim = self.model.kv_dim_per_gpu(self.tp_degree)
-        self._attn_heads = self.model.heads_per_gpu(self.tp_degree)
-        self._attn_kv_bytes = self.backend.kv_bytes_per_element
-        # Exactly the scalar sub-expressions of decode_attention_cost_from_totals, hoisted:
-        # same operand order, so memoized/vectorized evaluation is bit-identical.
-        self._attn_effective_bw = gpu.memory_bandwidth * 0.85 * attn_eff
-        self._attn_tc_denom = (
-            gpu.tensor_core_throughput(_tensor_precision(gpu)) * attn_eff
+        # Decode and chunked-prefill attention resolved once: every iteration's attention
+        # is a few float operations on this line.
+        self._attention_line = AttentionLine(
+            self.model, gpu, self.backend.kv_bytes_per_element,
+            attention_efficiency=self.backend.attention_efficiency, tp_degree=self.tp_degree,
         )
         # Equation 6 resolved once per weight shape: one GemmLine per layer GEMM (QKV,
         # output projection, gate+up, down; for MoE the per-expert FFN shapes) under the
@@ -262,7 +252,7 @@ class ServingEngine:
         # unless the profile overrides it: logits stay full precision in every system
         # compared).  Pricing a new token count is then a few float operations per line.
         gemms = decode_layer_gemms(self.model, 1, tp_degree=self.tp_degree)
-        self._attention_lines = tuple(
+        self._qkv_out_lines = tuple(
             GemmLine(shape.n, shape.k, gpu, self.backend.gemm_cost_params)
             for shape in gemms.attention_gemms()
         )
@@ -397,7 +387,7 @@ class ServingEngine:
         :func:`moe_expert_batch` rows once per expert (one expert for a dense model),
         summed in sequence as one grouped GEMM (persistent kernel) executes them.
         """
-        qkv, out_proj = self._attention_lines
+        qkv, out_proj = self._qkv_out_lines
         total = qkv.total(num_tokens) + out_proj.total(num_tokens)
         expert_tokens = moe_expert_batch(num_tokens, self.model)
         for line in self._ffn_lines:
@@ -406,15 +396,7 @@ class ServingEngine:
 
     def layer_attention_time(self, batch_size: int, context_length: int) -> float:
         """Per-layer decode attention of a uniform batch: the decode form at ``(B, B*c)``."""
-        return decode_attention_cost_from_totals(
-            self.model,
-            self.gpu,
-            batch_size,
-            batch_size * context_length,
-            self._attn_kv_bytes,
-            attention_efficiency=self.backend.attention_efficiency,
-            tp_degree=self.tp_degree,
-        ).total
+        return self._attention_line.decode(batch_size, batch_size * context_length)
 
     def layer_others_time(self, num_tokens: int) -> float:
         elementwise_bytes = (
@@ -493,62 +475,111 @@ class ServingEngine:
 
         Scalar/array polymorphic: integer totals and context starts price one iteration
         and return a float; int64 arrays of decode totals and/or of a chunk's context
-        starts price a run of iterations and return an array.  Every operation below is
-        IEEE-754 elementwise and mirrors the operand order of
-        :func:`~repro.serving.attention.decode_attention_cost_from_totals` and
-        :func:`~repro.serving.attention.chunked_prefill_attention_cost`, so each element
-        equals the scalar call bit for bit — the contract analytic fast-forward rests on.
+        starts price a run of iterations and return an array.  Every operation is
+        IEEE-754 elementwise in the same order (the engine's
+        :class:`~repro.serving.attention.AttentionLine` prices attention either way), so
+        each element equals the scalar call bit for bit — the contract analytic
+        fast-forward rests on.
         """
         total_tokens = decode_batch
         for tokens, _ in chunks:
+            if tokens <= 0:
+                raise ValueError("chunk_tokens must be positive")
             total_tokens += tokens
         if total_tokens <= 0:
             raise ValueError("an iteration must process at least one token")
-        key = (decode_batch, total_tokens, logits_tokens)
+        return self._priced(
+            self._step_coeffs(total_tokens, logits_tokens), decode_batch, decode_total, chunks, 0
+        )
+
+    def _step_coeffs(
+        self, total_tokens: int, logits_tokens: int
+    ) -> Tuple[float, float, float, float]:
+        """One iteration's context-independent terms (memoized): layer GEMMs, element-wise
+        kernels, all-reduces and the LM head."""
+        key = (total_tokens, logits_tokens)
         coeffs = self._step_coeff_cache.get(key)
         if coeffs is None:
             coeffs = (
-                (2.0 * decode_batch * self._attn_kv_dim * self._attn_kv_bytes)
-                / self._attn_effective_bw,
                 self.layer_gemm_time(total_tokens),
                 self.layer_others_time(total_tokens),
                 2.0 * self.allreduce_time(total_tokens),
                 self.lm_head_time(logits_tokens),
             )
             self._step_coeff_cache[key] = coeffs
-        kv_write, gemm, others, comm, lm_head = coeffs
+        return coeffs
 
-        attention = 0.0
-        if decode_batch:
-            kv_read = (
-                2.0 * decode_total * self._attn_kv_dim * self._attn_kv_bytes
-                / self._attn_effective_bw
-            )
-            compute = (
-                8.0 * decode_total * self._attn_heads * self.model.head_dim
-                / self._attn_tc_denom
-            )
-            attention = kv_read + kv_write + compute + _ATTENTION_LAUNCH_OVERHEAD_S
-        cache = self._chunk_attention_cache
-        for chunk_key in chunks:
-            array = isinstance(chunk_key[1], np.ndarray)
-            chunk_attention = None if array else cache.get(chunk_key)
-            if chunk_attention is None:
-                chunk_attention = chunked_prefill_attention_cost(
-                    self.model,
-                    self.gpu,
-                    chunk_key[0],
-                    chunk_key[1],
-                    self._attn_kv_bytes,
-                    attention_efficiency=self.backend.attention_efficiency,
-                    tp_degree=self.tp_degree,
-                ).total
-                if not array:
-                    cache[chunk_key] = chunk_attention
-            attention = attention + chunk_attention
-
+    def _priced(self, coeffs, decode_batch, decode_total, chunks, step):
+        """Iteration ``step`` (0-based; an int64 array prices many, elementwise) of a pinned
+        run whose first iteration is ``(decode_total, chunks)``: each step adds one token
+        per decoding sequence and one chunk to each chunk's cached prefix."""
+        gemm, others, comm, lm_head = coeffs
+        line = self._attention_line
+        attention = (
+            line.decode(decode_batch, decode_total + step * decode_batch) if decode_batch
+            else 0.0
+        )
+        for tokens, start in chunks:
+            attention = attention + line.chunk(tokens, start + step * tokens)
         per_layer = gemm + attention + others + comm
         return per_layer * self.model.num_layers + lm_head
+
+    def price_epoch(
+        self,
+        decode_batch: int,
+        decode_total: int,
+        chunks: Sequence[Tuple[int, int]],
+        iterations: int,
+        clock: float,
+        stop_before: Optional[float] = None,
+    ) -> Tuple[int, float]:
+        """Run the clock over a pinned fast-forward epoch; returns ``(iterations run, end clock)``.
+
+        The epoch's first iteration decodes ``decode_batch`` sequences over
+        ``decode_total`` summed context and prefills each ``(chunk_tokens,
+        context_start)`` chunk; every later one is the same composition one iteration
+        on: each sequence's context and each chunk's cached prefix have grown by what the
+        previous iteration added.  No chunk completes its prompt inside an epoch, so the
+        decode batch is also the LM head's token count.  Only iterations *starting*
+        strictly before ``stop_before`` run.
+
+        Equal, bit for bit, to adding :meth:`iteration_time` of each iteration to
+        ``clock`` in sequence.  The epoch's context-independent terms are resolved once.
+        The iterations the horizon can reach are priced by one array evaluation plus
+        ``np.cumsum`` (sequential additions in the same order) when there are at least
+        :data:`_EPOCH_ARRAY_ITERATIONS` of them, and by a scalar loop otherwise.
+        """
+        total_tokens = decode_batch
+        for tokens, _ in chunks:
+            total_tokens += tokens
+        coeffs = self._step_coeffs(total_tokens, decode_batch)
+        done = 0
+        if iterations >= _EPOCH_ARRAY_ITERATIONS:
+            span = iterations
+            if stop_before is not None:
+                # Contexts only grow inside an epoch, so no iteration is cheaper than the
+                # first and at most ``reach`` of them start before the horizon.  The array
+                # covers those plus slack for rounding; the loop below finishes any rest.
+                reach = (stop_before - clock) / self._priced(
+                    coeffs, decode_batch, decode_total, chunks, 0
+                )
+                if reach < iterations:
+                    span = min(iterations, int(reach) + 2)
+            if span >= _EPOCH_ARRAY_ITERATIONS:
+                times = self._priced(
+                    coeffs, decode_batch, decode_total, chunks, np.arange(span, dtype=np.int64)
+                )
+                clocks = np.cumsum(np.concatenate(([clock], times)))
+                done = span
+                if stop_before is not None:
+                    done = int(np.searchsorted(clocks[:span], stop_before, side="left"))
+                clock = float(clocks[done])
+        while done < iterations:
+            if stop_before is not None and not clock < stop_before:
+                break
+            clock += self._priced(coeffs, decode_batch, decode_total, chunks, done)
+            done += 1
+        return done, clock
 
     def prefill_time(self, batch_size: int, prompt_length: int) -> float:
         """Prompt-processing time of a batch of ``batch_size`` ``prompt_length``-token prompts.

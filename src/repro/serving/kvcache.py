@@ -36,6 +36,16 @@ class KvCacheOutOfMemory(RuntimeError):
     """Raised when a sequence needs a KV block but the pool is exhausted."""
 
 
+def _pop_tail(pool: List[int], count: int) -> List[int]:
+    """Remove the last ``count`` entries of ``pool`` and return them in the order ``count``
+    ``pool.pop()`` calls would."""
+    cut = len(pool) - count
+    taken = pool[cut:]
+    del pool[cut:]
+    taken.reverse()
+    return taken
+
+
 @dataclass(frozen=True)
 class KvCacheConfig:
     """Static configuration of the paged KV-cache pool.
@@ -207,10 +217,14 @@ class PagedKvCache:
         return max(0, self.config.blocks_for_tokens(state.num_tokens + num_tokens) - state.num_blocks)
 
     # ------------------------------------------------------------------ block bookkeeping
-    def _alloc_block(self) -> int:
-        block = self._free_blocks.pop()
-        self._ref_counts[block] = 1
-        return block
+    def _claim_blocks(self, count: int) -> List[int]:
+        """Allocate ``count`` blocks at one reference each, taken from the top of the free
+        list in one slice (the order one-at-a-time pops would take them)."""
+        blocks = _pop_tail(self._free_blocks, count)
+        ref_counts = self._ref_counts
+        for block in blocks:
+            ref_counts[block] = 1
+        return blocks
 
     def _release_block(self, block: int) -> int:
         """Drop one reference; returns 1 if the block went back to the free pool."""
@@ -285,7 +299,7 @@ class PagedKvCache:
                 needed,
             )
         state = SequenceState(seq_id=seq_id, num_tokens=prompt_tokens,
-                              blocks=[self._alloc_block() for _ in range(needed)])
+                              blocks=self._claim_blocks(needed))
         self._sequences[seq_id] = state
         return state
 
@@ -343,7 +357,7 @@ class PagedKvCache:
         if copy_tail:
             # The partially filled tail is shared with a fork: copy before writing into it.
             shared_tail = blocks[-1]
-            blocks[-1] = self._alloc_block()
+            blocks[-1] = self._claim_blocks(1)[0]
             self._release_block(shared_tail)
         if needed:
             fresh = free[-needed:]
@@ -497,9 +511,13 @@ class PagedKvCache:
                 f"only {self.num_free_host_blocks} free",
                 state.num_blocks,
             )
-        host_blocks = [self._free_host_blocks.pop() for _ in state.blocks]
+        # Claim and release in slices; the device blocks are all unshared (checked
+        # above), so each one goes back to the free list, in sequence order.
+        host_blocks = _pop_tail(self._free_host_blocks, state.num_blocks)
+        ref_counts = self._ref_counts
         for block in state.blocks:
-            self._release_block(block)
+            del ref_counts[block]
+        self._free_blocks.extend(state.blocks)
         del self._sequences[seq_id]
         self._swapped[seq_id] = SequenceState(seq_id=seq_id, num_tokens=state.num_tokens,
                                               blocks=host_blocks)
@@ -521,7 +539,7 @@ class PagedKvCache:
                 f"only {self.num_free_blocks} free",
                 state.num_blocks,
             )
-        device_blocks = [self._alloc_block() for _ in state.blocks]
+        device_blocks = self._claim_blocks(state.num_blocks)
         self._free_host_blocks.extend(state.blocks)
         del self._swapped[seq_id]
         self._sequences[seq_id] = SequenceState(seq_id=seq_id, num_tokens=state.num_tokens,

@@ -43,8 +43,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from typing import TYPE_CHECKING
 
 from .engine import PrefillChunk, ServingEngine, peak_resident_tokens
@@ -1111,13 +1109,12 @@ class ContinuousBatchingScheduler:
         is followed by the next epoch in the same call; with work queued, the freed
         blocks may unpark it, so the next iteration goes back to :meth:`step`.
 
-        Bit-identical to calling :meth:`step` the same number of times: every iteration
-        is priced by :meth:`~repro.serving.engine.ServingEngine.iteration_time`, the
-        core ``step()`` prices through (scalar for short epochs, elementwise over arrays
-        for long ones), and the clock is accumulated by the same sequential float
-        additions (``np.cumsum``).  Returns the number of iterations advanced; 0 means
-        the caller must :meth:`step` (admission, preemption, swaps, a prompt-completing
-        chunk, ...).
+        Bit-identical to calling :meth:`step` the same number of times: one
+        :meth:`~repro.serving.engine.ServingEngine.price_epoch` call prices the epoch's
+        iterations with the core ``step()`` prices through and accumulates the clock by
+        the same sequential float additions.  Returns the number of iterations
+        advanced; 0 means the caller must :meth:`step` (admission, preemption, swaps, a
+        prompt-completing chunk, ...).
         """
         if not self.fast_forward_enabled or self._pending_transfer_s != 0.0:
             return 0
@@ -1220,42 +1217,16 @@ class ContinuousBatchingScheduler:
                     if k == 0:
                         break
 
-            # ---- price iterations 1..k (iteration i sums decode context T0 + (i-1) *
-            # batch; each chunk's cached prefix grows by its size) and cut at the
-            # horizon.  Short epochs stay scalar, long ones are one array evaluation
-            # plus cumsum; both accumulate the clock like stepwise step().
+            # ---- price iterations 1..k in one engine call (iteration i sums decode
+            # context T0 + (i-1) * batch; each chunk's cached prefix grows by its size),
+            # cut at the horizon.
             total0 = 0
             for state in run_states:
                 total0 += state.num_tokens
-            starts = [(take, request.prefilled) for request, _, take in takes]
-            if k <= 16:
-                clock = self._clock
-                done = 0
-                while done < k:
-                    if stop_before is not None and not clock < stop_before:
-                        break
-                    clock += engine.iteration_time(
-                        batch,
-                        total0 + done * batch,
-                        [(take, start + done * take) for take, start in starts]
-                        if starts else (),
-                        batch,
-                    )
-                    done += 1
-                k = done
-                new_clock = clock
-            else:
-                steps = np.arange(k, dtype=np.int64)
-                times = engine.iteration_time(
-                    batch,
-                    total0 + steps * batch,
-                    [(take, start + steps * take) for take, start in starts],
-                    batch,
-                )
-                clocks = np.cumsum(np.concatenate(([self._clock], times)))
-                if stop_before is not None:
-                    k = min(k, int(np.searchsorted(clocks[:k], stop_before, side="left")))
-                new_clock = float(clocks[k])
+            k, new_clock = engine.price_epoch(
+                batch, total0, [(take, request.prefilled) for request, _, take in takes],
+                k, self._clock, stop_before,
+            )
 
             # ---- apply: grow KV, advance the clock, move every progress counter by its
             # k-iteration delta, retire finishers — the state k step() calls leave.

@@ -1,14 +1,12 @@
 """Conformance suite for the unified kernel-backend layer (:mod:`repro.backend`).
 
-Every registered :class:`~repro.serving.systems.SystemProfile` must build a
-:class:`~repro.backend.KernelBackend` whose costs are finite and positive across
-decode / mixed / prefill GEMM shapes, whose resolved parameters are bit-identical to
-composing the kernel registry and quant formats directly, and which — injected into a
-:class:`~repro.serving.engine.ServingEngine` — reproduces the default-constructed
-engine's numbers exactly.
+Every registered :class:`~repro.serving.systems.SystemProfile` must build a kernel
+backend whose costs are finite and positive across decode / mixed / prefill GEMM shapes,
+whose resolved parameters are bit-identical to composing the kernel registry and quant
+formats directly, and whose attention efficiency reaches every prefill cost of a
+:class:`~repro.serving.engine.ServingEngine` built on the profile.
 """
 
-import dataclasses
 import json
 import math
 
@@ -17,7 +15,6 @@ import pytest
 from repro.backend import (
     ACTIVATION_RESERVE_BYTES,
     DEFAULT_REFERENCE_KERNEL,
-    KernelBackend,
     available_kernels,
     available_kv_formats,
     build_backend,
@@ -29,16 +26,8 @@ from repro.costmodel.model import GemmShape, gemm_cost
 from repro.kernels.registry import get_kernel
 from repro.quant.kvcache import KV_FORMATS, kv_bytes_per_element
 from repro.serving.engine import PrefillChunk, ServingEngine
-from repro.serving.metrics import SloSpec
 from repro.serving.models import get_model
-from repro.serving.scheduler import ContinuousBatchingScheduler
 from repro.serving.systems import SYSTEMS, get_system
-from repro.workloads.traces import (
-    SHAREGPT_OUTPUTS,
-    SHAREGPT_PROMPTS,
-    ArrivalProcess,
-    generate_trace,
-)
 
 ALL_SYSTEMS = sorted(SYSTEMS)
 
@@ -114,62 +103,19 @@ def test_describe_is_json_safe(system_name):
     assert payload["system"] == system_name
 
 
-# --------------------------------------------------------------------------- engine equality
-@pytest.mark.parametrize("system_name", ALL_SYSTEMS)
-def test_engine_bit_identical_with_injected_backend(system_name):
-    """Injecting a pre-built backend reproduces the default engine exactly."""
-    default = ServingEngine(system_name, "llama2-7b")
-    injected = ServingEngine(
-        system_name, "llama2-7b", backend=build_backend(get_system(system_name), "H800")
-    )
-    assert default.weight_memory_bytes() == injected.weight_memory_bytes()
-    assert default.kv_budget_bytes() == injected.kv_budget_bytes()
-    for args in ((8, 512), (64, 2048)):
-        assert default.decode_step_time(*args) == injected.decode_step_time(*args)
-    assert default.prefill_time(1, 1024) == injected.prefill_time(1, 1024)
-    assert default.lm_head_time(64) == injected.lm_head_time(64)
-    chunk = [PrefillChunk(256, 512)]
-    assert default.mixed_step_time([], chunk) == injected.mixed_step_time([], chunk)
-
-
+# --------------------------------------------------------------------------- engine
 def test_injected_attention_efficiency_reaches_every_prefill_cost():
-    """Prefill, recompute and chunked prefill all read the backend's attention efficiency,
-    not the system profile's: halving it on an injected backend slows all three."""
-    base = build_backend(get_system("liquidserve"), "H800")
-    halved = dataclasses.replace(
-        base, attention_efficiency=base.attention_efficiency / 2
-    )
-    default = ServingEngine("liquidserve", "llama2-7b", backend=base)
-    slower = ServingEngine("liquidserve", "llama2-7b", backend=halved)
+    """Prefill, recompute and chunked prefill all read the backend's attention efficiency:
+    halving it on a derived profile slows all three."""
+    base = get_system("liquidserve")
+    halved = base.derive(attention_efficiency=base.attention_efficiency / 2)
+    default = ServingEngine(base, "llama2-7b")
+    slower = ServingEngine(halved, "llama2-7b")
+    assert slower.backend.attention_efficiency == base.attention_efficiency / 2
     assert slower.prefill_time(1, 4096) > default.prefill_time(1, 4096)
     assert slower.recompute_time(4096) > default.recompute_time(4096)
     chunk = [PrefillChunk(256, 2048)]
     assert slower.mixed_step_time([], chunk) > default.mixed_step_time([], chunk)
-
-
-def test_scheduler_run_bit_identical_with_injected_backend():
-    """A full scheduler simulation is byte-identical across construction paths."""
-    trace = generate_trace(
-        40, ArrivalProcess(rate_rps=20.0), SHAREGPT_PROMPTS, SHAREGPT_OUTPUTS, seed=7
-    )
-    slo = SloSpec(ttft_s=2.0, tpot_s=0.1)
-    reports = []
-    for backend in (None, build_backend(get_system("liquidserve"), "H800")):
-        engine = ServingEngine("liquidserve", "llama2-7b", backend=backend)
-        stats = ContinuousBatchingScheduler(engine, kv_budget_bytes=2 * 2**30).run(trace)
-        report = stats.slo_report(slo)
-        reports.append(
-            (
-                stats.generated_tokens,
-                stats.throughput_tokens_per_s,
-                stats.num_iterations,
-                stats.preemptions,
-                report.p99_ttft_s,
-                report.p99_tpot_s,
-                report.goodput_rps,
-            )
-        )
-    assert reports[0] == reports[1]
 
 
 # --------------------------------------------------------------------------- derive + validation

@@ -238,3 +238,48 @@ class TestMixedPhaseCoverageCount:
         assert sim.stats.num_iterations == 12_985
         assert len(calls) == 500
         assert len(calls) < 705
+
+    def test_fast_mixed_phase_pricing_calls(self, bench, monkeypatch):
+        """Cost evaluations per iteration, counted on the same trace: ``step()`` prices its
+        forward pass with at most one engine call, and a fast-forward epoch prices all of
+        its iterations with exactly one, so a skipped iteration costs no engine call.
+        ``iteration_time`` is otherwise reached only by the hybrid policy's recompute
+        estimate.  Before an epoch was priced in one call, this trace made 2,292
+        ``iteration_time`` calls, 1,574 of them one per iteration of a short epoch."""
+        from collections import Counter
+
+        from repro.core import simulate_serving
+        from repro.serving import ContinuousBatchingScheduler, ServingEngine
+        from repro.telemetry import Tracer
+
+        calls = Counter()
+
+        def count(cls, name):
+            original = getattr(cls, name)
+
+            def counted(self, *args, **kwargs):
+                calls[name] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        count(ContinuousBatchingScheduler, "step")
+        for name in ("iteration_time", "mixed_step_time", "price_epoch", "recompute_time"):
+            count(ServingEngine, name)
+        tracer = Tracer()
+        sim = simulate_serving(
+            "liquidserve", "llama2-7b", tracer=tracer, **bench.mixed_phase_kwargs(150)
+        )
+        epochs = list(tracer.events_of("ff_decode", "ff_mixed"))
+        skipped = sum(epoch.args["iterations"] for epoch in epochs)
+        assert sim.stats.num_iterations == 12_985 == calls["mixed_step_time"] + skipped
+        assert calls["mixed_step_time"] <= calls["step"]
+        assert calls["price_epoch"] == len(epochs) < skipped
+        assert calls["iteration_time"] == calls["mixed_step_time"] + calls["recompute_time"]
+        assert dict(calls) == {
+            "step": 500,
+            "mixed_step_time": 496,
+            "price_epoch": 494,
+            "recompute_time": 222,
+            "iteration_time": 718,
+        }

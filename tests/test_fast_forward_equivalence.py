@@ -21,9 +21,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import simulate_cluster, simulate_serving
-from repro.quant.kvcache import kv_bytes_per_element
-from repro.serving.attention import decode_attention_cost_from_totals
-from repro.serving.engine import ServingEngine
+from repro.serving import SYSTEMS, get_model, list_models
+from repro.serving.attention import (
+    chunked_prefill_attention_cost,
+    decode_attention_cost_from_totals,
+)
+from repro.serving.engine import _EPOCH_ARRAY_ITERATIONS, ServingEngine
 from repro.serving.metrics import request_metrics
 from repro.serving.scheduler import ContinuousBatchingScheduler, Request
 from repro.workloads.traces import (
@@ -481,6 +484,8 @@ class TestMixedStepTimesVectorization:
             assert float(vectorized[i]) == engine.iteration_time(7, int(total), (), 7)
         with pytest.raises(ValueError):
             engine.iteration_time(0, 0, [], 0)
+        with pytest.raises(ValueError, match="chunk_tokens"):
+            engine.iteration_time(7, 3000, [(0, 512)], 7)
 
 
 class TestFastForwardUnit:
@@ -558,44 +563,135 @@ class TestFastForwardUnit:
         assert stats.generated_tokens == 20
 
 
-class TestDecodeCostClosedForm:
-    """Pin the engine's hoisted decode closed form to the attention module's formula.
+#: (model, TP degree) pairs the property tests draw: every model at every degree that
+#: shards it (llama1-30b's 52 heads rule out 8).
+_SHARDINGS = [
+    (model, tp)
+    for model in list_models()
+    for tp in (1, 2, 4, 8)
+    if get_model(model).num_heads % tp == 0 and get_model(model).intermediate_size % tp == 0
+]
 
-    ``iteration_time`` restates the arithmetic of
-    :func:`decode_attention_cost_from_totals` with hoisted scalars for speed; if either
-    side drifts (a formula tweak, a changed bandwidth-efficiency default), decode-only
-    iterations would silently diverge from mixed decode+prefill iterations.  Exact
-    equality here makes that drift a test failure."""
 
-    @pytest.mark.parametrize("system,model,tp", [
-        ("liquidserve", "llama2-7b", 1),
-        ("trt-fp16", "llama2-13b", 1),
-        ("liquidserve", "llama2-70b", 4),
-    ])
-    def test_decode_iteration_time_matches_attention_module(self, system, model, tp):
+@st.composite
+def pinned_epochs(draw):
+    """An engine configuration and one pinned epoch: its decode batch and summed context,
+    0-3 prefill chunks, a length on either side of the scalar/array crossover and a
+    horizon anywhere in it (or none)."""
+    system = draw(st.sampled_from(sorted(SYSTEMS)))
+    model, tp = draw(st.sampled_from(_SHARDINGS))
+    batch = draw(st.integers(min_value=0, max_value=96))
+    total = batch * draw(st.integers(min_value=1, max_value=6000))
+    chunks = draw(st.lists(
+        st.tuples(st.integers(1, 1024), st.integers(0, 16384)),
+        min_size=0 if batch else 1, max_size=3,
+    ))
+    iterations = draw(st.integers(1, 2 * _EPOCH_ARRAY_ITERATIONS + 8))
+    # The horizon falls inside iteration ``at`` (at its start when the fraction is 0: a
+    # tie), or past the epoch's end when ``at == iterations``.
+    horizon = draw(st.one_of(st.none(), st.tuples(
+        st.integers(min_value=0, max_value=iterations),
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    )))
+    return system, model, tp, batch, total, chunks, iterations, horizon
+
+
+class TestPricingClosedForms:
+    """The two closed forms fast-forward rests on, against their one-call references.
+
+    ``price_epoch`` must return exactly the iteration count and clock that adding
+    :meth:`ServingEngine.iteration_time` iteration by iteration gives, on both sides of
+    its scalar/array crossover and at any horizon, and the engine's
+    :class:`AttentionLine` must price exactly what the public attention forms return, for
+    scalars and elementwise over int64 arrays."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(epoch=pinned_epochs(), start=st.floats(min_value=0.0, max_value=1e4))
+    def test_epoch_matches_sequential_iteration_time(self, epoch, start):
+        system, model, tp, batch, total, chunks, iterations, horizon = epoch
         engine = ServingEngine(system, model, tp_degree=tp)
-        for batch, total in [(1, 1), (7, 4096), (29, 29 * 800)]:
-            attention = decode_attention_cost_from_totals(
-                engine.model,
-                engine.gpu,
-                batch,
-                float(total),
-                kv_bytes_per_element(engine.system.kv_format),
-                attention_efficiency=engine.system.attention_efficiency,
-                tp_degree=tp,
-            ).total
-            per_layer = (
-                engine.layer_gemm_time(batch)
-                + attention
-                + engine.layer_others_time(batch)
-                + 2.0 * engine.allreduce_time(batch)
+
+        def iteration(i):
+            return engine.iteration_time(
+                batch, total + i * batch,
+                [(tokens, begin + i * tokens) for tokens, begin in chunks], batch,
             )
-            expected = per_layer * engine.model.num_layers + engine.lm_head_time(batch)
-            assert engine.iteration_time(batch, total, (), batch) == expected
-            # ...and the vectorized form agrees element-wise, bit for bit.
-            assert float(
-                engine.iteration_time(batch, np.array([total]), (), batch)[0]
-            ) == expected
+
+        def sequential(stop_before, count=iterations):
+            clock, done = start, 0
+            while done < count:
+                if stop_before is not None and not clock < stop_before:
+                    break
+                clock += iteration(done)
+                done += 1
+            return done, clock
+
+        stop_before = None
+        if horizon is not None:
+            at, fraction = horizon
+            stop_before = sequential(None, at)[1] + fraction * iteration(at)
+        expected = sequential(stop_before)
+        result = engine.price_epoch(batch, total, chunks, iterations, start, stop_before)
+        assert result == expected
+        assert isinstance(result[0], int) and isinstance(result[1], float)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        system=st.sampled_from(sorted(SYSTEMS)),
+        sharding=st.sampled_from(_SHARDINGS),
+        batch=st.integers(min_value=1, max_value=256),
+        context=st.integers(min_value=1, max_value=8192),
+        chunk_tokens=st.integers(min_value=1, max_value=2048),
+        context_start=st.integers(min_value=0, max_value=32768),
+        span=st.integers(min_value=1, max_value=12),
+    )
+    def test_attention_line_matches_attention_cost_forms(
+        self, system, sharding, batch, context, chunk_tokens, context_start, span
+    ):
+        model, tp = sharding
+        engine = ServingEngine(system, model, tp_degree=tp)
+        line = engine._attention_line
+        forms = dict(
+            kv_bytes_per_element=engine.backend.kv_bytes_per_element,
+            attention_efficiency=engine.backend.attention_efficiency,
+            tp_degree=tp,
+        )
+        total = batch * context
+        decode = decode_attention_cost_from_totals(
+            engine.model, engine.gpu, batch, total, **forms
+        )
+        chunk = chunked_prefill_attention_cost(
+            engine.model, engine.gpu, chunk_tokens, context_start, **forms
+        )
+        assert line.decode_cost(batch, total) == decode
+        assert line.decode(batch, total) == decode.total
+        assert engine.layer_attention_time(batch, context) == decode.total
+        assert line.chunk_cost(chunk_tokens, context_start) == chunk
+        assert line.chunk(chunk_tokens, context_start) == chunk.total
+        # A decode-only iteration is the per-layer composition over the decode form.
+        per_layer = (
+            engine.layer_gemm_time(batch) + decode.total + engine.layer_others_time(batch)
+            + 2.0 * engine.allreduce_time(batch)
+        )
+        assert engine.iteration_time(batch, total, (), batch) == (
+            per_layer * engine.model.num_layers + engine.lm_head_time(batch)
+        )
+        # Elementwise over int64 arrays, each element equals the scalar form.
+        steps = np.arange(span, dtype=np.int64)
+        totals = total + steps * batch
+        starts = context_start + steps * chunk_tokens
+        decode_array = line.decode(batch, totals)
+        chunk_array = line.chunk(chunk_tokens, starts)
+        chunk_form = chunked_prefill_attention_cost(
+            engine.model, engine.gpu, chunk_tokens, starts, **forms
+        ).total
+        for i in range(span):
+            assert float(decode_array[i]) == decode_attention_cost_from_totals(
+                engine.model, engine.gpu, batch, int(totals[i]), **forms
+            ).total
+            assert float(chunk_array[i]) == float(chunk_form[i]) == chunked_prefill_attention_cost(
+                engine.model, engine.gpu, chunk_tokens, int(starts[i]), **forms
+            ).total
 
 
 class TestOutstandingTokensCounter:

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.serving import (
@@ -12,6 +12,7 @@ from repro.serving import (
     PagedKvCache,
     PrefixCache,
     Request,
+    SequenceState,
     get_model,
 )
 from repro.serving.prefixcache import _block_contents
@@ -153,6 +154,46 @@ class TestPagedKvCache:
         assert shard.bytes_per_token == pytest.approx(full.bytes_per_token / 4)
 
 
+class _PerBlockSwapCache(PagedKvCache):
+    """Reference allocator: admissions and swaps claim and release one block at a time.
+    The allocator's slice-at-a-time paths must leave identical pools."""
+
+    def _claim_blocks(self, count: int) -> list:
+        blocks = []
+        for _ in range(count):
+            block = self._free_blocks.pop()
+            self._ref_counts[block] = 1
+            blocks.append(block)
+        return blocks
+
+    def swap_out(self, seq_id: int) -> int:
+        state = self._sequences.pop(seq_id)
+        host_blocks = [self._free_host_blocks.pop() for _ in state.blocks]
+        for block in state.blocks:
+            self._release_block(block)
+        self._swapped[seq_id] = SequenceState(seq_id, state.num_tokens, host_blocks)
+        return len(host_blocks) * self.config.bytes_per_block
+
+    def swap_in(self, seq_id: int) -> int:
+        state = self._swapped.pop(seq_id)
+        device_blocks = self._claim_blocks(len(state.blocks))
+        self._free_host_blocks.extend(state.blocks)
+        self._sequences[seq_id] = SequenceState(seq_id, state.num_tokens, device_blocks)
+        return len(device_blocks) * self.config.bytes_per_block
+
+
+def _pools(cache: PagedKvCache) -> tuple:
+    """Every block id the allocator holds, in order: free lists, per-sequence lists,
+    swapped lists and reference counts."""
+    return (
+        list(cache._free_blocks),
+        list(cache._free_host_blocks),
+        {i: list(s.blocks) for i, s in cache._sequences.items()},
+        {i: list(s.blocks) for i, s in cache._swapped.items()},
+        list(cache._ref_counts.items()),
+    )
+
+
 class TestHostSwap:
     def test_swap_out_moves_blocks_to_host(self):
         cache = PagedKvCache(make_config(host_budget_mb=64))
@@ -236,6 +277,46 @@ class TestHostSwap:
         assert 0.0 < cache.host_utilization() <= 1.0
         # No host pool configured -> utilization is defined as 0.
         assert PagedKvCache(make_config(host_budget_mb=0)).host_utilization() == 0.0
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                # Swaps weighted up: a run must admit a sequence before it can swap it.
+                st.sampled_from(["add", "add", "grow", "out", "out", "in", "in", "free"]),
+                st.integers(min_value=0, max_value=3),
+                st.integers(min_value=1, max_value=64),
+            ),
+            max_size=40,
+        )
+    )
+    @example(ops=[("add", 1, 40), ("add", 2, 20), ("out", 1, 0), ("add", 3, 50),
+                  ("out", 2, 0), ("in", 1, 0), ("out", 3, 0), ("in", 2, 0)])
+    @settings(max_examples=100, deadline=None)
+    def test_property_bulk_swap_matches_per_block_order(self, ops):
+        """Any run of admissions, growth, swaps and frees leaves the bulk allocator's
+        block ids, free lists and reference counts equal to the per-block reference's."""
+        cache = PagedKvCache(make_config(budget_mb=64, host_budget_mb=64))
+        reference = _PerBlockSwapCache(make_config(budget_mb=64, host_budget_mb=64))
+        for op, seq_id, tokens in ops:
+            resident = seq_id in cache._sequences
+            swapped = cache.is_swapped(seq_id)
+            if op == "add" and not resident and not swapped and cache.can_admit(tokens):
+                call = ("add_sequence", seq_id, tokens)
+            elif op == "grow" and resident and (
+                cache.blocks_needed_to_extend(seq_id, tokens) <= cache.num_free_blocks
+            ):
+                call = ("extend_sequence", seq_id, tokens)
+            elif op == "out" and cache.can_swap_out(seq_id):
+                call = ("swap_out", seq_id)
+            elif op == "in" and cache.can_swap_in(seq_id):
+                call = ("swap_in", seq_id)
+            elif op == "free" and (resident or swapped):
+                call = ("free_sequence", seq_id)
+            else:
+                continue
+            name, *args = call
+            assert getattr(cache, name)(*args) == getattr(reference, name)(*args)
+            assert _pools(cache) == _pools(reference)
 
     @given(
         prompts=st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=8),
