@@ -54,6 +54,7 @@ re-validates the committed file), so the perf trajectory stays machine-comparabl
 
 Run:  PYTHONPATH=src python benchmarks/bench_scheduler.py [--fast] [--dump-requests CSV]
                                                           [--profile]
+      PYTHONPATH=src python benchmarks/bench_scheduler.py --compare A.json B.json
 
 ``--fast`` shrinks the A/B traces for CI (same sections, same schema, smaller
 ``num_requests``) and writes to ``BENCH_scheduler.fast.json`` so the committed full-mode
@@ -61,7 +62,10 @@ trajectory is never overwritten by a CI or local fast run.  ``--dump-requests PA
 additionally writes the ``trace_simulation`` run's per-request latency decomposition (TTFT,
 TPOT, queue time, preemptions) as CSV for latency-distribution analysis.  ``--profile``
 wraps the ``trace_simulation`` section in cProfile and prints the hottest functions —
-the first place to look when ``harness.iterations_per_s`` regresses.
+the first place to look when ``harness.iterations_per_s`` regresses.  ``--compare A B``
+runs nothing: it prints the leaves that differ between two payloads, counts and simulated
+values first, then the wall-clock leaves (``WALL_CLOCK_LEAVES``), and exits 1 when a leaf
+that is not wall-clock differs.
 """
 
 import argparse
@@ -326,10 +330,65 @@ SCHEMA = {
 }
 
 
+#: Leaf names that time the host rather than the simulation: wall times, it/s, speedups
+#: (and the flag read from one) and the tracing ratio.  ``--compare`` lists them after
+#: every count and simulated value and never fails on them.
+WALL_CLOCK_LEAVES = frozenset({
+    "wall_time_s", "iterations_per_s", "stepwise_wall_time_s", "stepwise_iterations_per_s",
+    "speedup_vs_stepwise", "speedup_ge_3x", "serial_wall_s", "parallel_wall_s", "speedup",
+    "cells_per_s", "traced_wall_time_s", "off_vs_baseline_ratio",
+})
+
+
 def validate_payload(payload, schema=SCHEMA, path="$"):
     """Assert ``payload`` matches ``schema`` (the shared validator of
     :mod:`repro.reporting.schema`, defaulted to this harness's ``SCHEMA``)."""
     _validate_schema(payload, schema, path)
+
+
+def payload_leaves(payload, path="$") -> dict:
+    """``{path: value}`` of every leaf of a payload (a list is one leaf)."""
+    if not isinstance(payload, dict):
+        return {path: payload}
+    leaves = {}
+    for key, value in payload.items():
+        leaves.update(payload_leaves(value, f"{path}.{key}"))
+    return leaves
+
+
+def compare_payloads(a: dict, b: dict):
+    """``(simulated, wall_clock)``: the leaves that differ between two payloads, each a
+    list of ``(path, value in a, value in b)`` in payload order.  A leaf on one side only
+    reads ``"<absent>"`` on the other."""
+    leaves_a, leaves_b = payload_leaves(a), payload_leaves(b)
+    simulated, wall_clock = [], []
+    for path in {**leaves_a, **leaves_b}:
+        value_a = leaves_a.get(path, "<absent>")
+        value_b = leaves_b.get(path, "<absent>")
+        if value_a != value_b:
+            side = wall_clock if path.rsplit(".", 1)[-1] in WALL_CLOCK_LEAVES else simulated
+            side.append((path, value_a, value_b))
+    return simulated, wall_clock
+
+
+def compare_files(path_a: str, path_b: str) -> int:
+    """Print the leaves that differ between two payload files; 1 if a leaf that is not
+    wall-clock differs, else 0."""
+    payloads = []
+    for path in (path_a, path_b):
+        with open(path, encoding="utf-8") as fh:
+            payloads.append(json.load(fh))
+    simulated, wall_clock = compare_payloads(*payloads)
+    compared = len({**payload_leaves(payloads[0]), **payload_leaves(payloads[1])})
+    print(f"{compared} leaves compared: {len(simulated)} counts or simulated values and "
+          f"{len(wall_clock)} wall-clock leaves differ")
+    for title, rows in (("counts and simulated values", simulated),
+                        ("wall-clock", wall_clock)):
+        if rows:
+            print(f"{title}:")
+            for path, value_a, value_b in rows:
+                print(f"  {path}: {value_a} -> {value_b}")
+    return 1 if simulated else 0
 
 
 def _simulated_summary(sim) -> dict:
@@ -967,7 +1026,7 @@ def bench_tensor_parallel() -> dict:
     }
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fast", action="store_true",
                         help="shrink traces for CI (same sections and schema)")
@@ -975,7 +1034,12 @@ def main() -> None:
                         help="write the trace_simulation per-request metrics to this CSV")
     parser.add_argument("--profile", action="store_true",
                         help="cProfile the trace_simulation section and print hot spots")
-    args = parser.parse_args()
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="run nothing; print the leaves that differ between two "
+                             "payloads and exit 1 if one that is not wall-clock differs")
+    args = parser.parse_args(argv)
+    if args.compare:
+        raise SystemExit(compare_files(*args.compare))
     trace_requests = 120 if args.fast else 500
     ab_requests = 100 if args.fast else 300
     cluster_requests = 60 if args.fast else 200

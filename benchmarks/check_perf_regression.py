@@ -11,8 +11,8 @@ Compares the fast-mode harness throughputs from a just-produced
   which ran interpretively before PR 5 and would silently fall back to interpretive
   again if the mixed fast path regressed;
 * ``prefix_cache`` — the shared-prefix agent-swarm path with the radix cache enabled,
-  guarding both the trie lookups in admission (a walk of the stream's memoized key chain)
-  and the cache-enabled fast-forward proofs (a cache bug that forced stepwise execution
+  guarding both the trie lookups in admission (a binary search of the stream's memoized
+  key chain) and the cache-enabled fast-forward proofs (a cache bug that forced stepwise execution
   would crater this);
 * ``sweep_grid`` — end-to-end cell throughput of the 1,120-cell kernel-backend grid
   (``cells_per_s``), guarding the once-per-configuration backend/engine resolution: a

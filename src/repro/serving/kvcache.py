@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Sequence
 
 from ..backend import kv_format_bytes
 from .models import ModelConfig
@@ -250,9 +250,19 @@ class PagedKvCache:
         sequences hold theirs, and the block returns to the free pool only when the last
         holder releases it.
         """
-        if block not in self._ref_counts:
-            raise KeyError(f"block {block} is not allocated")
-        self._share((block,))
+        self.retain_blocks((block,))
+
+    def retain_blocks(self, blocks: Sequence[int]) -> None:
+        """:meth:`retain_block` on several blocks in one call.
+
+        Every block is checked before any reference is taken, so an unallocated block
+        raises :class:`KeyError` with every reference count unchanged.
+        """
+        ref_counts = self._ref_counts
+        for block in blocks:
+            if block not in ref_counts:
+                raise KeyError(f"block {block} is not allocated")
+        self._share(blocks)
 
     def _share(self, blocks: Iterable[int]) -> None:
         """Take one extra reference on each allocated block, counting newly shared ones."""
@@ -450,11 +460,7 @@ class PagedKvCache:
         """
         if seq_id in self._sequences or seq_id in self._swapped:
             raise ValueError(f"sequence {seq_id} already resident")
-        ref_counts = self._ref_counts
-        for block in blocks:
-            if block not in ref_counts:
-                raise KeyError(f"block {block} is not allocated")
-        self._share(blocks)
+        self.retain_blocks(blocks)
         state = SequenceState(
             seq_id=seq_id,
             num_tokens=len(blocks) * self.config.block_tokens,

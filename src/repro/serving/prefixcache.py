@@ -11,19 +11,24 @@ simulator's version of that index:
   radix tree without materializing per-node child tables, and diverging continuations
   branch naturally (two conversations sharing a system prompt share exactly its nodes).
   A :class:`PrefixKeyTable` interns the keys and memoizes each
-  ``(prefix_group, prefix_segments)`` stream's chain of keys, so a stream's block contents
-  are walked once per run: a cluster run hands one table to every replica, and each
-  cache's lookups, hits and publications walk that precomputed int chain against the
-  cache's own trie.
+  ``(prefix_group, prefix_segments)`` stream's chain of keys.  A new stream resumes from
+  the longest segment prefix the table has already walked (a chat turn extends the
+  previous turn, an agent step the transcript), so a run builds each block content once.
+  A cluster run hands one table to every replica.
+* **Binary-searched matches** — each cache's trie is prefix-closed (publication is
+  root-first, eviction removes leaves only), so the cached keys of a chain form a prefix
+  of it and a lookup finds the cached depth by binary search: the cache-affinity router's
+  probe of every replica costs ``ceil(log2(n + 1))`` dict lookups for an ``n``-block
+  chain and builds no list.
 * **Fork-on-admit** — the scheduler asks :meth:`PrefixCache.match_blocks` for the longest
   cached prefix of an admitting request and seeds the new sequence with those physical
   blocks via :meth:`~repro.serving.kvcache.PagedKvCache.fork_from_blocks`; only the
   uncached suffix is prefilled.  Matches are *block granular*: the shareable span is
   described by the request's ``prefix_segments`` and only whole blocks ever hit.
 * **Reference-counted residency** — the cache holds one pool reference per cached block
-  (:meth:`~repro.serving.kvcache.PagedKvCache.retain_block`), so publishing a prefix costs
-  no new memory while its prefiller is alive, and cached blocks survive the prefiller's
-  completion until evicted.
+  (taken by :meth:`~repro.serving.kvcache.PagedKvCache.retain_blocks`, one call per
+  publication), so publishing a prefix costs no new memory while its prefiller is alive,
+  and cached blocks survive the prefiller's completion until evicted.
 * **LRU leaf eviction** — under KV pressure the scheduler reclaims cached-but-idle blocks
   before preempting live sequences: :meth:`PrefixCache.evict` repeatedly removes the
   least-recently-used *leaf* whose block no live sequence shares.
@@ -40,7 +45,7 @@ the trie static for its whole span.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .kvcache import PagedKvCache
 
@@ -83,43 +88,22 @@ class _PrefixNode:
         self.stamp = stamp         # logical LRU time of the last touch
 
 
-def _block_contents(segments: Tuple[Tuple[int, int], ...], block_tokens: int,
-                    max_blocks: int) -> Iterator[BlockContent]:
-    """Yield the content key of each *full* block covering the segment stream.
-
-    Segment boundaries may fall mid-block, so a block's content is the tuple of
-    ``(segment_id, start_offset, end_offset)`` pieces filling it — two requests produce
-    the same key for block *i* exactly when their first ``(i+1) * block_tokens`` shareable
-    tokens are segment-for-segment identical.  The trailing partial block (if any) is
-    never yielded: only whole blocks are cacheable.
-    """
-    if max_blocks <= 0:
-        return
-    pieces: List[Tuple[int, int, int]] = []
-    filled = 0
-    emitted = 0
-    for seg_id, seg_tokens in segments:
-        offset = 0
-        while offset < seg_tokens:
-            take = min(seg_tokens - offset, block_tokens - filled)
-            pieces.append((seg_id, offset, offset + take))
-            filled += take
-            offset += take
-            if filled == block_tokens:
-                yield tuple(pieces)
-                pieces = []
-                filled = 0
-                emitted += 1
-                if emitted >= max_blocks:
-                    return
-
-
 class PrefixKeyTable:
     """Interned block keys of the shareable prefix streams of one run.
 
     Keys are interned from ``(parent_key, block_content)`` (a group's root from
     ``(None, prefix_group)``) and each ``(prefix_group, prefix_segments)`` stream's chain is
-    memoized.  The table holds no cache state, so every replica of a cluster run shares one.
+    memoized.  A block's content is the tuple of ``(segment_id, start_offset, end_offset)``
+    pieces filling it (segment boundaries may fall mid-block), so two streams share block
+    *i*'s key exactly when their first ``(i+1) * block_tokens`` shareable tokens are
+    segment-for-segment identical; a trailing partial block has no key.
+
+    A new stream resumes from the longest segment prefix already walked, which may be the
+    whole stream: per segment boundary the table keeps the chain the boundary belongs to,
+    the key count there, the last key and the open block's pieces.  A stream that extends
+    a walked one therefore builds only the blocks past their shared segments.
+
+    The table holds no cache state, so every replica of a cluster run shares one.
     It has no public method: a layer trace wrapping this module's public callables must
     count no call to it.
     """
@@ -128,21 +112,53 @@ class PrefixKeyTable:
         self.block_tokens = block_tokens
         self._keys: Dict[Tuple[object, object], int] = {}
         self._chains: Dict[Tuple[object, object], Tuple[int, ...]] = {}
+        #: ``(prefix_group, leading segments)`` of a walked stream -> ``(chain, key count,
+        #: last key, open block's pieces)`` at that segment boundary.
+        self._boundaries: Dict[Tuple[object, object],
+                               Tuple[Tuple[int, ...], int, int, BlockContent]] = {}
 
     def _chain(self, request: "Request") -> Tuple[int, ...]:
         """Keys of the full blocks of ``request``'s shareable prefix, shallowest first."""
         stream = (request.prefix_group, request.prefix_segments)
         chain = self._chains.get(stream)
         if chain is None:
-            keys, block_tokens = self._keys, self.block_tokens
+            chain = self._chains[stream] = self._walk(*stream)
+        return chain
+
+    def _walk(self, group: object, segments: Tuple[Tuple[int, int], ...]) -> Tuple[int, ...]:
+        """Build a stream's chain from its longest segment prefix already walked."""
+        keys, boundaries = self._keys, self._boundaries
+        resumed = len(segments)
+        while resumed and (group, segments[:resumed]) not in boundaries:
+            resumed -= 1
+        if resumed:
+            walked, count, key, open_pieces = boundaries[(group, segments[:resumed])]
+            if resumed == len(segments):
+                return walked[:count]
+            links = list(walked[:count])
+        else:
             # ``keys`` is append-only, so its length is always a fresh key.
-            key = keys.setdefault((None, request.prefix_group), len(keys))
-            links = []
-            for content in _block_contents(request.prefix_segments, block_tokens,
-                                           request.shareable_prefix_tokens // block_tokens):
-                key = keys.setdefault((key, content), len(keys))
-                links.append(key)
-            chain = self._chains[stream] = tuple(links)
+            key = keys.setdefault((None, group), len(keys))
+            links, open_pieces = [], ()
+        block_tokens = self.block_tokens
+        pieces = list(open_pieces)
+        filled = sum(stop - start for _, start, stop in pieces)
+        marks = []
+        for seg_id, seg_tokens in segments[resumed:]:
+            offset = 0
+            while offset < seg_tokens:
+                take = min(seg_tokens - offset, block_tokens - filled)
+                pieces.append((seg_id, offset, offset + take))
+                filled += take
+                offset += take
+                if filled == block_tokens:
+                    key = keys.setdefault((key, tuple(pieces)), len(keys))
+                    links.append(key)
+                    pieces, filled = [], 0
+            marks.append((len(links), key, tuple(pieces)))
+        chain = tuple(links)
+        for end, (count, key, open_pieces) in enumerate(marks, start=resumed + 1):
+            boundaries[(group, segments[:end])] = (chain, count, key, open_pieces)
         return chain
 
 
@@ -197,16 +213,23 @@ class PrefixCache:
             cached_blocks=self.num_blocks,
         )
 
-    def _match_path(self, request: "Request", max_blocks: int) -> List[_PrefixNode]:
-        """Longest cached path along the request's key chain, at most ``max_blocks``."""
-        path: List[_PrefixNode] = []
+    def _cached_depth(self, chain: Tuple[int, ...], max_blocks: int) -> int:
+        """Number of leading keys of ``chain`` cached in the trie, at most ``max_blocks``.
+
+        The trie is prefix-closed (publication is root-first, eviction removes leaves
+        only), so the cached keys form a prefix of the chain and a binary search over
+        ``n = min(len(chain), max_blocks)`` finds its length in ``ceil(log2(n + 1))``
+        lookups.
+        """
         nodes = self._nodes
-        for key in self._keys._chain(request)[:max(max_blocks, 0)]:
-            node = nodes.get(key)
-            if node is None:
-                break
-            path.append(node)
-        return path
+        low, high = 0, min(len(chain), max_blocks)
+        while low < high:
+            mid = (low + high + 1) // 2
+            if chain[mid - 1] in nodes:
+                low = mid
+            else:
+                high = mid - 1
+        return low
 
     def match_blocks(self, request: "Request", max_tokens: int) -> List[int]:
         """Physical blocks of the longest cached prefix, capped at ``max_tokens`` tokens.
@@ -215,21 +238,26 @@ class PrefixCache:
         stream's chain), so the admission loop, the fast-forward parked proofs and the
         cluster's cache-affinity router can all probe it without perturbing the simulation.
         """
-        block_tokens = self._keys.block_tokens
-        return [node.block for node in self._match_path(request, max_tokens // block_tokens)]
+        chain = self._keys._chain(request)
+        depth = self._cached_depth(chain, max_tokens // self._keys.block_tokens)
+        nodes = self._nodes
+        return [nodes[key].block for key in chain[:depth]]
 
     def match_tokens(self, request: "Request", max_tokens: int) -> int:
         """Tokens the cache could serve for ``request`` right now (router affinity probe)."""
         block_tokens = self._keys.block_tokens
-        return len(self._match_path(request, max_tokens // block_tokens)) * block_tokens
+        depth = self._cached_depth(self._keys._chain(request), max_tokens // block_tokens)
+        return depth * block_tokens
 
     # ------------------------------------------------------------------ mutation
     def commit_hit(self, request: "Request", num_blocks: int) -> None:
-        """Record a fork-on-admit of ``num_blocks`` matched blocks; refresh their LRU."""
+        """Record a fork-on-admit of the ``num_blocks`` blocks :meth:`match_blocks` just
+        returned; refresh their LRU stamps."""
         self._tick += 1
         stamp = self._tick
-        for node in self._match_path(request, num_blocks):
-            node.stamp = stamp
+        nodes = self._nodes
+        for key in self._keys._chain(request)[:num_blocks]:
+            nodes[key].stamp = stamp
         self.hits += 1
         self.saved_tokens += num_blocks * self._keys.block_tokens
 
@@ -241,30 +269,30 @@ class PrefixCache:
 
         ``blocks`` is the prefilling sequence's block list; its leading blocks, one per
         key of the request's chain (the full blocks of its shareable prefix), are published.
-        New trie depth takes one pool reference per block; already-cached depth is left
-        untouched (first writer wins — a concurrent duplicate prefill does not replace
-        the published block) but has its LRU refreshed.
+        Already-cached depth is left untouched (first writer wins — a concurrent duplicate
+        prefill does not replace the published block) but has its LRU refreshed; the new
+        depth takes one pool reference per block, all in one call.
         """
         chain = self._keys._chain(request)
-        if not chain or not blocks:
+        published = min(len(chain), len(blocks))
+        if not published:
             return 0
         self._tick += 1
         stamp = self._tick
-        parent: Optional[_PrefixNode] = None
-        added = 0
-        for key, block in zip(chain, blocks):
-            node = self._nodes.get(key)
-            if node is None:
-                node = _PrefixNode(key, parent, block, stamp)
-                self.kv_cache.retain_block(block)
-                self._nodes[key] = node
+        nodes = self._nodes
+        depth = self._cached_depth(chain, published)
+        for key in chain[:depth]:
+            nodes[key].stamp = stamp
+        added = published - depth
+        if added:
+            fresh = blocks[depth:published]
+            self.kv_cache.retain_blocks(fresh)
+            parent = nodes[chain[depth - 1]] if depth else None
+            for key, block in zip(chain[depth:published], fresh):
+                node = nodes[key] = _PrefixNode(key, parent, block, stamp)
                 if parent is not None:
                     parent.children += 1
-                added += 1
-            else:
-                node.stamp = stamp
-            parent = node
-        if added:
+                parent = node
             self.inserted_blocks += added
             if self._tracer is not None:
                 self._tracer.emit(

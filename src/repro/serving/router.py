@@ -135,11 +135,13 @@ class CacheAffinityRouter(RouterPolicy):
     Per-replica prefix caches make placement sticky: a request sharing a system prompt,
     RAG template or agent transcript only benefits if it lands where that prefix was
     prefilled.  The router probes every candidate's cache with the side-effect-free
-    :meth:`~repro.serving.prefixcache.PrefixCache.match_tokens` (one walk of the request's
-    memoized key chain per replica) and picks the deepest match; ties — including the
-    no-cache / no-match case — fall back to least outstanding tokens, so replicas without
-    caches degrade to the least-tokens router.  Decode migrations carry their full KV with
-    them, so affinity is irrelevant there and the decode pool balances on token work.
+    :meth:`~repro.serving.prefixcache.PrefixCache.match_tokens` (a binary search of the
+    request's memoized key chain against each replica's prefix-closed trie:
+    ``ceil(log2(n + 1))`` lookups for an ``n``-block chain) and picks the deepest match;
+    ties — including the no-cache / no-match case — fall back to least outstanding
+    tokens, so replicas without caches degrade to the least-tokens router.  Decode
+    migrations carry their full KV with them, so affinity is irrelevant there and the
+    decode pool balances on token work.
     """
 
     name = "cache-affinity"

@@ -40,6 +40,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import heapq
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -319,8 +320,19 @@ class ContinuousBatchingScheduler:
             except TypeError:
                 raise ValueError(f"request {request.request_id}: prefix_group and "
                                  "prefix_segments must be hashable (tuples)") from None
+            if not isinstance(request.prefix_segments, tuple):
+                raise ValueError(f"request {request.request_id}: prefix segments must be "
+                                 "a tuple of (id, tokens) pairs")
             shareable = 0
-            for _, seg_tokens in request.prefix_segments:
+            for segment in request.prefix_segments:
+                if not isinstance(segment, tuple) or len(segment) != 2:
+                    raise ValueError(f"request {request.request_id}: prefix segment "
+                                     f"{segment!r} is not an (id, tokens) pair")
+                try:
+                    seg_tokens = operator.index(segment[1])
+                except TypeError:
+                    raise ValueError(f"request {request.request_id}: prefix segment "
+                                     f"{segment!r} needs an integer token count") from None
                 if seg_tokens < 1:
                     raise ValueError(
                         f"request {request.request_id}: prefix segments need >= 1 token"

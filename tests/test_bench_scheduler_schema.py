@@ -283,3 +283,59 @@ class TestMixedPhaseCoverageCount:
             "recompute_time": 222,
             "iteration_time": 718,
         }
+
+
+class TestCompareMode:
+    """``--compare A B`` lists the leaves that differ, counts and simulated values before
+    wall-clock ones, and fails only on a leaf that is not wall-clock."""
+
+    A = {
+        "mode": "fast",
+        "trace_simulation": {
+            "harness": {"wall_time_s": 0.05, "iterations_per_s": 120000.0},
+            "simulated": {"iterations": 6000, "p99_ttft_s": 0.5},
+        },
+        "tracing": {"harness": {"off_vs_baseline_ratio": 0.9}, "events": 41},
+    }
+
+    def _write(self, tmp_path, name, payload):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return str(path)
+
+    def test_wall_clock_only_differences_pass(self, bench, tmp_path, capsys):
+        b = json.loads(json.dumps(self.A))
+        b["trace_simulation"]["harness"]["wall_time_s"] = 0.07
+        b["tracing"]["harness"]["off_vs_baseline_ratio"] = 0.8
+        assert bench.compare_payloads(self.A, b) == ([], [
+            ("$.trace_simulation.harness.wall_time_s", 0.05, 0.07),
+            ("$.tracing.harness.off_vs_baseline_ratio", 0.9, 0.8),
+        ])
+        with pytest.raises(SystemExit) as exit_info:
+            bench.main(["--compare", self._write(tmp_path, "a.json", self.A),
+                        self._write(tmp_path, "b.json", b)])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "7 leaves compared: 0 counts or simulated values and 2 wall-clock" in out
+
+    def test_a_simulated_difference_fails_and_is_listed_first(self, bench, tmp_path,
+                                                              capsys):
+        b = json.loads(json.dumps(self.A))
+        b["trace_simulation"]["harness"]["iterations_per_s"] = 90000.0
+        b["trace_simulation"]["simulated"]["iterations"] = 6001
+        del b["tracing"]["events"]
+        simulated, wall_clock = bench.compare_payloads(self.A, b)
+        assert simulated == [
+            ("$.trace_simulation.simulated.iterations", 6000, 6001),
+            ("$.tracing.events", 41, "<absent>"),
+        ]
+        assert wall_clock == [
+            ("$.trace_simulation.harness.iterations_per_s", 120000.0, 90000.0),
+        ]
+        with pytest.raises(SystemExit) as exit_info:
+            bench.main(["--compare", self._write(tmp_path, "a.json", self.A),
+                        self._write(tmp_path, "b.json", b)])
+        assert exit_info.value.code == 1
+        out = capsys.readouterr().out
+        assert out.index("simulated.iterations: 6000 -> 6001") < out.index(
+            "harness.iterations_per_s: 120000.0 -> 90000.0")

@@ -1,11 +1,12 @@
 """Tests for radix-tree prefix caching: the trie index itself (match / insert / LRU
-eviction / can_free), the prefix-key table a cluster run shares across replicas, its
-fork-on-admit integration with the scheduler (saved prefill, hit-rate counters, eviction
+eviction / can_free), the prefix-key table a cluster run shares across replicas (its
+resumed chains against a from-scratch reference walk), its fork-on-admit integration with the scheduler (saved prefill, hit-rate counters, eviction
 under KV pressure), input validation of prefix streams, swap-aware victim selection
 around shared blocks, the shared-prefix trace generators, and cache-affinity cluster
 routing."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.serving import (
     ContinuousBatchingScheduler,
@@ -18,8 +19,7 @@ from repro.serving import (
     ServingEngine,
     get_model,
 )
-from repro.serving import prefixcache
-from repro.serving.prefixcache import PrefixKeyTable, _block_contents
+from repro.serving.prefixcache import PrefixKeyTable
 from repro.serving.systems import ClusterSpec
 from repro.workloads import (
     SHAREGPT_OUTPUTS,
@@ -40,6 +40,48 @@ SHORT = LengthDistribution.uniform(16, 64)
 @pytest.fixture(scope="module")
 def engine():
     return ServingEngine("liquidserve", "llama2-7b")
+
+
+def block_contents(segments, block_tokens, max_blocks):
+    """Reference walk: the content of each *full* block covering a segment stream, built
+    from the stream's first segment on every call.
+
+    Segment boundaries may fall mid-block, so a block's content is the tuple of
+    ``(segment_id, start_offset, end_offset)`` pieces filling it.  The trailing partial
+    block (if any) is never yielded, and at most ``max_blocks`` blocks are.
+    """
+    if max_blocks <= 0:
+        return
+    pieces = []
+    filled = 0
+    emitted = 0
+    for seg_id, seg_tokens in segments:
+        offset = 0
+        while offset < seg_tokens:
+            take = min(seg_tokens - offset, block_tokens - filled)
+            pieces.append((seg_id, offset, offset + take))
+            filled += take
+            offset += take
+            if filled == block_tokens:
+                yield tuple(pieces)
+                pieces = []
+                filled = 0
+                emitted += 1
+                if emitted >= max_blocks:
+                    return
+
+
+def reference_chain(keys, group, segments, block_tokens, max_blocks=None):
+    """Keys of a stream's full blocks by the reference walk, interned in ``keys`` the way
+    :class:`PrefixKeyTable` interns them (a group's root under ``(None, group)``)."""
+    if max_blocks is None:
+        max_blocks = sum(tokens for _, tokens in segments) // block_tokens
+    key = keys.setdefault((None, group), len(keys))
+    chain = []
+    for content in block_contents(segments, block_tokens, max_blocks):
+        key = keys.setdefault((key, content), len(keys))
+        chain.append(key)
+    return tuple(chain)
 
 
 def make_config(budget_mb=64, block_tokens=16, host_budget_mb=0):
@@ -72,27 +114,27 @@ def publish(cache, kv, seq_id, request):
 
 class TestBlockContents:
     def test_whole_blocks_only(self):
-        contents = list(_block_contents(((0, 40),), block_tokens=16, max_blocks=10))
+        contents = list(block_contents(((0, 40),), block_tokens=16, max_blocks=10))
         # 40 tokens = 2 full blocks + a 8-token partial that must never be yielded.
         assert contents == [(((0, 0, 16),)), (((0, 16, 32),))]
 
     def test_segment_boundary_mid_block(self):
-        contents = list(_block_contents(((0, 10), (1, 22)), block_tokens=16, max_blocks=10))
+        contents = list(block_contents(((0, 10), (1, 22)), block_tokens=16, max_blocks=10))
         assert contents == [
             ((0, 0, 10), (1, 0, 6)),
             ((1, 6, 22),),
         ]
 
     def test_max_blocks_caps_output(self):
-        contents = list(_block_contents(((0, 64),), block_tokens=16, max_blocks=2))
+        contents = list(block_contents(((0, 64),), block_tokens=16, max_blocks=2))
         assert len(contents) == 2
 
     def test_identical_streams_produce_identical_keys(self):
-        a = list(_block_contents(((3, 16), (7, 16)), 16, 4))
-        b = list(_block_contents(((3, 16), (7, 16)), 16, 4))
+        a = list(block_contents(((3, 16), (7, 16)), 16, 4))
+        b = list(block_contents(((3, 16), (7, 16)), 16, 4))
         assert a == b
         # A diverging second segment changes only the diverging block's key.
-        c = list(_block_contents(((3, 16), (8, 16)), 16, 4))
+        c = list(block_contents(((3, 16), (8, 16)), 16, 4))
         assert c[0] == a[0] and c[1] != a[1]
 
 
@@ -197,6 +239,45 @@ class TestSharedKeyTable:
     def test_table_for_another_block_size_is_rejected(self):
         with pytest.raises(ValueError, match="32-token blocks"):
             PrefixCache(PagedKvCache(make_config(block_tokens=16)), PrefixKeyTable(32))
+
+
+#: Segments from a small alphabet of ids with lengths crossing block boundaries, so two
+#: streams often agree for a few blocks and then diverge mid-block.
+SEGMENTS = st.tuples(st.integers(min_value=0, max_value=3),
+                     st.integers(min_value=1, max_value=40))
+
+
+@st.composite
+def related_streams(draw):
+    """``(group, segments)`` streams where each may extend, branch from or cut back an
+    earlier one (any segment prefix of it, plus fresh segments) in either group; the
+    list is then shuffled, so a stream may come before the streams it is a prefix of."""
+    streams = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        head = ()
+        if streams and draw(st.booleans()):
+            _, base = draw(st.sampled_from(streams))
+            head = base[:draw(st.integers(min_value=0, max_value=len(base)))]
+        tail = tuple(draw(st.lists(SEGMENTS, max_size=3)))
+        streams.append((draw(st.integers(min_value=0, max_value=1)), head + tail))
+    return draw(st.permutations(streams))
+
+
+class TestResumedChains:
+    @given(streams=related_streams(), block_tokens=st.sampled_from((1, 4, 16)))
+    def test_chains_equal_the_reference_walk(self, streams, block_tokens):
+        """A resumed chain holds the keys, key ints included, that a walk from the
+        stream's first segment interns, whatever order the streams come in."""
+        table = PrefixKeyTable(block_tokens)
+        ref_keys = {}
+        for i, (group, segments) in enumerate(streams):
+            request = Request(i, prompt_tokens=sum(t for _, t in segments) + 1,
+                              output_tokens=1, prefix_group=group,
+                              prefix_segments=segments)
+            assert table._chain(request) == reference_chain(
+                ref_keys, group, segments, block_tokens
+            )
+        assert table._keys == ref_keys
 
 
 class TestLruEviction:
@@ -368,22 +449,67 @@ def tenant_mix_cluster(engine):
     )
 
 
-def test_cluster_run_walks_each_prefix_stream_once(engine, monkeypatch):
-    """One key table serves every replica of a run: each distinct prefix stream's block
-    contents are walked once, however many replicas the router probes (the per-replica
-    walk took 288 walks here), and the simulated outcome is unchanged."""
-    walks = []
-    block_contents = prefixcache._block_contents
+def test_cluster_run_builds_each_block_key_once_and_binary_searches(engine, monkeypatch):
+    """One key table serves every replica of a run and each new stream resumes from its
+    longest segment prefix already walked, so each distinct block key is built once (a
+    walk from every stream's first segment built 2,245 here).  The router's probes
+    binary-search the prefix-closed trie: at most ceil(log2(n + 1)) lookups for an
+    n-block chain (a node-by-node walk made 4,267).  The simulated outcome is unchanged."""
+    built = []
+    probe = {"on": False, "lookups": 0, "bound": 0}
 
-    def counting(*args, **kwargs):
-        walks.append(args[0])
-        return block_contents(*args, **kwargs)
+    class CountingKeys(dict):
+        def setdefault(self, link, key):
+            if link[0] is not None:  # a block's key, not a group's root
+                built.append(link)
+            return super().setdefault(link, key)
 
-    monkeypatch.setattr(prefixcache, "_block_contents", counting)
-    trace = tenant_mix_trace(30, 3.0, seed=0)
-    streams = {(r.prefix_group, r.prefix_segments) for r in trace}
-    result = tenant_mix_cluster(engine).run(trace)
-    assert len(walks) == len(streams) == 38
+    class CountingNodes(dict):
+        def _count(self):
+            if probe["on"]:
+                probe["lookups"] += 1
+
+        def __contains__(self, key):
+            self._count()
+            return super().__contains__(key)
+
+        def __getitem__(self, key):
+            self._count()
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            self._count()
+            return super().get(key, default)
+
+    table_init, cache_init = PrefixKeyTable.__init__, PrefixCache.__init__
+    match_tokens = PrefixCache.match_tokens
+
+    def counting_table_init(self, block_tokens):
+        table_init(self, block_tokens)
+        self._keys = CountingKeys()
+
+    def counting_cache_init(self, kv_cache, keys=None):
+        cache_init(self, kv_cache, keys)
+        self._nodes = CountingNodes()
+
+    def counting_match_tokens(self, request, max_tokens):
+        block_tokens = self.kv_cache.config.block_tokens
+        n = len(list(block_contents(request.prefix_segments, block_tokens,
+                                    max_tokens // block_tokens)))
+        probe["bound"] += n.bit_length()  # ceil(log2(n + 1))
+        probe["on"] = True
+        try:
+            return match_tokens(self, request, max_tokens)
+        finally:
+            probe["on"] = False
+
+    monkeypatch.setattr(PrefixKeyTable, "__init__", counting_table_init)
+    monkeypatch.setattr(PrefixCache, "__init__", counting_cache_init)
+    monkeypatch.setattr(PrefixCache, "match_tokens", counting_match_tokens)
+    result = tenant_mix_cluster(engine).run(tenant_mix_trace(30, 3.0, seed=0))
+    assert len(built) == len(set(built)) == 780
+    assert probe["bound"] == 2160
+    assert probe["lookups"] <= probe["bound"]
     # Goldens recorded from the per-replica walk: sharing the table moves no number.
     assert result.simulated_time_s == 40.361296461177126
     assert result.generated_tokens == 14221
@@ -402,8 +528,20 @@ UNHASHABLE_STREAMS = [
     ([0], ((0, 64),)),
 ]
 
+#: Hashable prefix streams whose segments are not ``(id, tokens)`` pairs with an integer
+#: token count: a fractional count, a 1-item and a 3-item segment, a string count, one
+#: pair missing its enclosing tuple, and segments that are not a tuple.
+MALFORMED_STREAMS = [
+    (0, ((0, 64.5),)),
+    (0, ((0,),)),
+    (0, ((0, 64, 1),)),
+    (0, ((0, "64"),)),
+    (0, (0, 64)),
+    (0, "ab"),
+]
 
-def unhashable_request(request_id, stream):
+
+def rejected_request(request_id, stream):
     group, segments = stream
     request = Request(request_id, prompt_tokens=80, output_tokens=8,
                       prefix_group=group, prefix_segments=segments)
@@ -411,34 +549,34 @@ def unhashable_request(request_id, stream):
     return request
 
 
-class TestUnhashableStreamsRejected:
+class _RejectedAtEveryEntryPoint:
     """Each entry point names the request and raises before any state changes."""
 
-    @pytest.mark.parametrize("stream", UNHASHABLE_STREAMS)
+    #: Pattern of the error message after the request's name.
+    reason = ""
+
     def test_scheduler_run(self, engine, stream):
         scheduler = ContinuousBatchingScheduler(engine, prefix_caching=True)
         trace = rag_trace(4, 10.0, template_tokens=64, num_templates=1, seed=0)
         before = scheduler.run(trace)
-        bad = unhashable_request(99, stream)
-        with pytest.raises(ValueError, match="request 99: .*hashable"):
+        bad = rejected_request(99, stream)
+        with pytest.raises(ValueError, match=f"request 99: .*{self.reason}"):
             scheduler.run(trace + [bad])
         after = scheduler.stats()
         assert after.completed_requests == before.completed_requests == len(trace)
         assert after.simulated_time_s == before.simulated_time_s
         assert bad.generated == 3
 
-    @pytest.mark.parametrize("stream", UNHASHABLE_STREAMS)
     def test_scheduler_submit(self, engine, stream):
         scheduler = ContinuousBatchingScheduler(engine, prefix_caching=True)
         scheduler.submit(shared_request(0))
-        bad = unhashable_request(99, stream)
-        with pytest.raises(ValueError, match="request 99: .*hashable"):
+        bad = rejected_request(99, stream)
+        with pytest.raises(ValueError, match=f"request 99: .*{self.reason}"):
             scheduler.submit(bad)
         assert scheduler.queue_depth == 1
         assert scheduler.outstanding_tokens == shared_request(0).remaining_tokens()
         assert bad.generated == 3
 
-    @pytest.mark.parametrize("stream", UNHASHABLE_STREAMS)
     def test_cluster_run(self, engine, stream):
         cluster = ServingCluster(
             spec=ClusterSpec(mode="colocated", num_replicas=2, router="cache-affinity"),
@@ -448,14 +586,34 @@ class TestUnhashableStreamsRejected:
         trace = rag_trace(4, 10.0, template_tokens=64, num_templates=1, seed=0)
         cluster.run(trace)
         before = [r.scheduler.stats() for r in cluster.replicas]
-        bad = unhashable_request(99, stream)
-        with pytest.raises(ValueError, match="request 99: .*hashable"):
+        bad = rejected_request(99, stream)
+        with pytest.raises(ValueError, match=f"request 99: .*{self.reason}"):
             cluster.run(trace + [bad])
         after = [r.scheduler.stats() for r in cluster.replicas]
         assert [s.completed_requests for s in after] == [s.completed_requests for s in before]
         assert [s.simulated_time_s for s in after] == [s.simulated_time_s for s in before]
         assert sum(s.completed_requests for s in after) == len(trace)
         assert bad.generated == 3
+
+
+class TestUnhashableStreamsRejected(_RejectedAtEveryEntryPoint):
+    reason = "hashable"
+
+    @pytest.fixture(params=UNHASHABLE_STREAMS)
+    def stream(self, request):
+        return request.param
+
+
+class TestMalformedSegmentsRejected(_RejectedAtEveryEntryPoint):
+    """The key table's block arithmetic needs each segment to be an ``(id, tokens)`` pair
+    with an integer count >= 1.  Regression: a fractional count was served (a 3-request
+    run with ``((0, 64.5),)`` reported 2 hits and 128 cached tokens)."""
+
+    reason = "prefix segment"
+
+    @pytest.fixture(params=MALFORMED_STREAMS)
+    def stream(self, request):
+        return request.param
 
 
 class TestSwapVictimSelection:

@@ -15,7 +15,7 @@ from repro.serving import (
     SequenceState,
     get_model,
 )
-from repro.serving.prefixcache import _block_contents
+from test_prefix_cache import reference_chain
 
 
 def make_config(budget_mb=64, kv_format="int8", block_tokens=16, model="llama2-7b",
@@ -745,7 +745,9 @@ class KvPrefixCacheMachine(KvForkSwapMachine):
     a cached block can never be freed out from under the trie by a live sequence's
     truncate/free/swap.  Every match is checked against a reference walk that recomputes
     block contents on each probe and interns them in a private dict, and the trie must
-    stay prefix-closed.
+    stay prefix-closed.  Streams are drawn fresh or as extensions of streams already
+    published, so publication and matches run on resumed key chains and binary searches
+    reach deep into the trie.
     """
 
     def __init__(self):
@@ -756,6 +758,7 @@ class KvPrefixCacheMachine(KvForkSwapMachine):
         # under (None, group); and ref key -> the trie node published at that position.
         self.ref_keys = {}
         self.ref_nodes = {}
+        self.published = []  # (group, segments) of every publication, in order
 
     def _request(self, segments, group):
         req = Request(
@@ -770,15 +773,16 @@ class KvPrefixCacheMachine(KvForkSwapMachine):
 
     def _reference_chain(self, req, max_blocks):
         """Reference keys of the request's first ``max_blocks`` full blocks, recomputed
-        from ``_block_contents`` on every call."""
-        keys = self.ref_keys
-        key = keys.setdefault((None, req.prefix_group), len(keys))
-        chain = []
-        for content in _block_contents(req.prefix_segments, self.config.block_tokens,
-                                       max_blocks):
-            key = keys.setdefault((key, content), len(keys))
-            chain.append(key)
-        return chain
+        from the stream's first segment on every call."""
+        return reference_chain(self.ref_keys, req.prefix_group, req.prefix_segments,
+                               self.config.block_tokens, max_blocks)
+
+    def _stream(self, data, group, segments):
+        """``(group, segments)`` as drawn, or ``segments`` appended to a published stream."""
+        if self.published and data.draw(st.booleans(), label="extend a published stream"):
+            group, head = data.draw(st.sampled_from(self.published))
+            segments = head + segments
+        return group, segments
 
     def _reference_match(self, req, max_tokens):
         """Blocks of the longest published prefix still in the trie, by the reference walk."""
@@ -802,7 +806,9 @@ class KvPrefixCacheMachine(KvForkSwapMachine):
     def publish(self, data, group, segments):
         seq_id = data.draw(st.sampled_from(sorted(self.resident)))
         state = self.cache.sequence(seq_id)
+        group, segments = self._stream(data, group, segments)
         req = self._request(_clip(segments, self.resident[seq_id]), group)
+        self.published.append((group, req.prefix_segments))
         shareable = req.shareable_prefix_tokens
         prior = self._reference_match(req, shareable)
         depth = len(prior)
@@ -818,9 +824,10 @@ class KvPrefixCacheMachine(KvForkSwapMachine):
         # Already-cached depth keeps its first writer's blocks.
         assert self.prefix.match_blocks(req, shareable) == prior + state.blocks[depth:len(chain)]
 
-    @rule(group=st.integers(min_value=0, max_value=1), segments=PREFIX_STREAMS,
-          cap=st.integers(min_value=0, max_value=128))
-    def match_agrees_with_reference_walk(self, group, segments, cap):
+    @rule(data=st.data(), group=st.integers(min_value=0, max_value=1),
+          segments=PREFIX_STREAMS, cap=st.integers(min_value=0, max_value=400))
+    def match_agrees_with_reference_walk(self, data, group, segments, cap):
+        group, segments = self._stream(data, group, segments)
         req = self._request(segments, group)
         blocks = self.prefix.match_blocks(req, cap)
         assert blocks == self._reference_match(req, cap)
