@@ -13,8 +13,7 @@ terms combine depends on the kernel's pipeline organisation, captured by
 * ``SERIAL_DEQUANT`` — Equation 6 as written: loading overlaps with compute, but dequant and
   MMA execute back to back inside the compute stage (QServe, W4A16 and naive W4A8 kernels);
 * ``FULL_OVERLAP``   — loading, dequantization and MMA all overlap (the ideal LiquidGEMM ImFP
-  achieves): the iteration cost is the *maximum* of the three terms;
-* ``NO_OVERLAP``     — nothing overlaps (a strawman used by the ablation baseline).
+  achieves): the iteration cost is the *maximum* of the three terms.
 
 Equation 6 is written once, in :class:`GemmLine`: for a fixed weight shape ``(N, K)``,
 kernel and GPU it resolves the M-independent terms (``T_LD``, ``T_DQ``, the Tensor-Core
@@ -50,11 +49,10 @@ __all__ = [
 class PipelineMode:
     """How the load / dequant / MMA stages of one iteration combine in time."""
 
-    NO_OVERLAP = "no_overlap"
     SERIAL_DEQUANT = "serial_dequant"
     FULL_OVERLAP = "full_overlap"
 
-    ALL = (NO_OVERLAP, SERIAL_DEQUANT, FULL_OVERLAP)
+    ALL = (SERIAL_DEQUANT, FULL_OVERLAP)
 
 
 @dataclass(frozen=True)
@@ -197,12 +195,9 @@ class GemmLine:
 
     def _per_m_tile(self, t_mma: float) -> float:
         """One M tile's main loop: how load, dequant and MMA combine under the pipeline."""
-        pipeline = self.params.pipeline
-        if pipeline == PipelineMode.FULL_OVERLAP:
+        if self.params.pipeline == PipelineMode.FULL_OVERLAP:
             return max(self.t_load, self.t_dequant, t_mma)
-        if pipeline == PipelineMode.SERIAL_DEQUANT:
-            return max(self.t_load, self.t_dequant + t_mma)
-        return self.t_load + self.t_dequant + t_mma  # NO_OVERLAP
+        return max(self.t_load, self.t_dequant + t_mma)  # SERIAL_DEQUANT
 
     def total(self, m: int) -> float:
         """Latency of the ``m x N x K`` GEMM: M tiles, epilogue and launch (Equation 6)."""
@@ -225,12 +220,10 @@ class GemmLine:
             limiter = {t_load: "memory", t_dequant: "cuda_cores", t_mma: "tensor_cores"}[
                 self._per_m_tile(t_mma)
             ]
-        elif params.pipeline == PipelineMode.SERIAL_DEQUANT:
+        else:
             limiter = "memory" if t_load >= t_dequant + t_mma else (
                 "cuda_cores" if t_dequant > t_mma else "tensor_cores"
             )
-        else:
-            limiter = "serialized"
         return CostBreakdown(
             t_load=m_tiles * t_load,
             t_dequant=m_tiles * t_dequant,

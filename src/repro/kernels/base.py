@@ -31,11 +31,14 @@ from ..pipeline.simulator import PipelineKind, PipelineResult, simulate_pipeline
 from ..pipeline.timing import decompose_work, derive_iteration_timing
 from ..quant.activation import quantize_activation_per_token
 
-__all__ = ["PreparedWeights", "KernelReport", "GemmKernel", "int8_gemm"]
+__all__ = ["PreparedWeights", "KernelReport", "GemmKernel", "int8_gemm", "K_BLOCK"]
 
 #: Largest ``|activation code * weight code|`` on the INT8 path: per-token activation
 #: codes lie in [-127, 127] and INT8 weight codes in [-128, 127].
 _MAX_INT8_PRODUCT = 127 * 128
+#: Widest K block float32 accumulates exactly: 1,032 columns, whose partial sums are
+#: integers of magnitude at most ``1032 * 127 * 128 < 2**24``.
+K_BLOCK = 2**24 // _MAX_INT8_PRODUCT
 
 
 def int8_gemm(x: np.ndarray, w_i8: np.ndarray, scale_ch: np.ndarray) -> np.ndarray:
@@ -44,14 +47,23 @@ def int8_gemm(x: np.ndarray, w_i8: np.ndarray, scale_ch: np.ndarray) -> np.ndarr
     Quantizes ``x`` per token to INT8, accumulates it against the ``(N, K)`` INT8 weight
     codes ``w_i8`` and applies the epilogue (per-token x per-channel ``scale_ch``).  The
     accumulation emulates the INT32 WGMMA accumulator, so ``K * 127 * 128`` must stay
-    below 2**31; every partial sum is then an integer far below 2**53, which makes the
-    float64 BLAS product exact, bit for bit the integer result.
+    below 2**31.
+
+    The product runs in float32 BLAS over K blocks of at most :data:`K_BLOCK` columns.
+    Every partial sum inside a block is an integer below 2**24 in magnitude, and float32
+    holds each such integer exactly, whatever order the BLAS sums in.  The blocks are then
+    summed in float64, where every total below 2**31 is exact too.  The result is bit for
+    bit the integer accumulator's.
     """
     k = w_i8.shape[1]
     if k * _MAX_INT8_PRODUCT >= 2**31:
         raise ValueError(f"K={k} can overflow the INT32 accumulator (K * 127 * 128 >= 2**31)")
     qa = quantize_activation_per_token(x)
-    acc = qa.q_i8.astype(np.float64) @ w_i8.astype(np.float64).T
+    a = qa.q_i8.astype(np.float32)
+    w = w_i8.astype(np.float32)
+    acc = np.zeros((a.shape[0], w.shape[0]))
+    for k0 in range(0, k, K_BLOCK):
+        acc += a[:, k0 : k0 + K_BLOCK] @ w[:, k0 : k0 + K_BLOCK].T
     return acc * qa.scale_tok * scale_ch.reshape(1, -1)
 
 

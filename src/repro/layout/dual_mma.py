@@ -200,7 +200,8 @@ def pack_weight_matrix(q_u4: np.ndarray) -> PackedWeightMatrix:
         raise ValueError("expected a 2-D code matrix")
     n, k = q_u4.shape
     grid_rows, grid_cols = -(-n // DUAL_MMA_TILE_ROWS), -(-k // DUAL_MMA_TILE_COLS)
-    padded = np.pad(q_u4, ((0, -n % DUAL_MMA_TILE_ROWS), (0, -k % DUAL_MMA_TILE_COLS)))
+    pad = (-n % DUAL_MMA_TILE_ROWS, -k % DUAL_MMA_TILE_COLS)
+    padded = np.pad(q_u4, ((0, pad[0]), (0, pad[1]))) if any(pad) else q_u4
     grid = padded.reshape(grid_rows, DUAL_MMA_TILE_ROWS, grid_cols, DUAL_MMA_TILE_COLS)
     rows, cols = dual_mma_index_table()
     # One gather reorders every tile of the (grid_rows, grid_cols, 64, 64) view; eight

@@ -45,7 +45,8 @@ def _check_u4(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
     if values.size and (values.min() < 0 or values.max() > 15):
         raise ValueError("UINT4 codes must lie in [0, 15]")
-    return values.astype(np.uint32)
+    # One byte per code: each nibble's shift widens only its own slice to uint32.
+    return values.astype(np.uint8, copy=False)
 
 
 def pack_u4_sequential(values: np.ndarray) -> np.ndarray:
@@ -55,7 +56,7 @@ def pack_u4_sequential(values: np.ndarray) -> np.ndarray:
         raise ValueError("last dimension must be 8 (eight nibbles per 32-bit register)")
     out = np.zeros(values.shape[:-1], dtype=np.uint32)
     for nibble in range(8):
-        out |= values[..., nibble] << np.uint32(4 * nibble)
+        out |= np.left_shift(values[..., nibble], 4 * nibble, dtype=np.uint32)
     return out
 
 
@@ -75,7 +76,7 @@ def pack_u4_interleaved(values: np.ndarray) -> np.ndarray:
         raise ValueError("last dimension must be 8 (eight nibbles per 32-bit register)")
     out = np.zeros(values.shape[:-1], dtype=np.uint32)
     for nibble, element in enumerate(INTERLEAVED_NIBBLE_ORDER):
-        out |= values[..., element] << np.uint32(4 * nibble)
+        out |= np.left_shift(values[..., element], 4 * nibble, dtype=np.uint32)
     return out
 
 

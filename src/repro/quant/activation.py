@@ -3,7 +3,8 @@
 During serving, activations are quantized on the fly: each token (matrix row) gets its own
 symmetric INT8 scale after being divided by the SmoothQuant smooth scale.  The operation is
 cheap and is fused into the preceding kernel in the real system; here it is an explicit,
-testable function plus a small cost estimate used by the serving model's "Others" bucket.
+testable function.  It makes one float64 temporary, ``x / scale``: the row maximum of
+``|x|`` comes from ``max`` and ``-min``, and rounding and clipping run in place.
 """
 
 from __future__ import annotations
@@ -44,11 +45,14 @@ def quantize_activation_per_token(
         if smooth_scale.shape[0] != x.shape[1]:
             raise ValueError("smooth scale must have one entry per K column")
         x = x / smooth_scale[None, :]
-    amax = np.abs(x).max(axis=1, keepdims=True)
+    amax = np.maximum(x.max(axis=1, keepdims=True), -x.min(axis=1, keepdims=True))
     eps = np.finfo(np.float64).tiny
     scale = np.maximum(amax / 127.0, eps)
-    q = np.clip(np.round(x / scale), -127, 127).astype(np.int8)
-    return QuantizedActivation(q_i8=q, scale_tok=scale, original_shape=tuple(x.shape))
+    q = x / scale
+    np.rint(q, out=q)
+    np.clip(q, -127, 127, out=q)
+    return QuantizedActivation(q_i8=q.astype(np.int8), scale_tok=scale,
+                               original_shape=tuple(x.shape))
 
 
 def dequantize_activation(qa: QuantizedActivation) -> np.ndarray:

@@ -212,7 +212,7 @@ class ServingCluster:
                     request_id=orig.request_id, role=target.role,
                     policy=self.router_name,
                 )
-            target.scheduler.submit(clone, now=now)
+            target.scheduler._submit(clone, now=now)
         else:
             target = router.select(self.replicas, orig)
             if self._tracer is not None:
@@ -221,7 +221,7 @@ class ServingCluster:
                     request_id=orig.request_id, role=target.role,
                     policy=self.router_name,
                 )
-            target.scheduler.submit(orig, now=now)
+            target.scheduler._submit(orig, now=now)
         return target
 
     def _on_prefill_done(self, state: _RunState, replica: Replica, clone: Request) -> None:
@@ -288,7 +288,8 @@ class ServingCluster:
             raise ValueError("cluster routing requires unique request ids")
         for request in requests:
             # All replicas share one pool geometry; validating against the first catches
-            # never-servable requests before any state mutates.
+            # never-servable requests before any state mutates.  This is each request's
+            # only check: routing hands it to the replicas' unchecked submit paths.
             self.replicas[0].scheduler._check_servable(request)
 
         router = get_router_policy(self.router_name)
@@ -360,7 +361,7 @@ class ServingCluster:
                             request_id=request.request_id, role=target.role,
                             policy=self.router_name,
                         )
-                    target.scheduler.submit_resumed(request, now=time_s)
+                    target.scheduler._submit_resumed(request, now=time_s)
                 push_ready(target)  # an idle target wakes at the event time
                 continue
             if replica is None:

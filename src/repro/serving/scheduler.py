@@ -492,6 +492,10 @@ class ContinuousBatchingScheduler:
         replica's clock is already past it — the request waits for the next iteration).
         """
         self._check_servable(request)
+        self._submit(request, now)
+
+    def _submit(self, request: Request, now: Optional[float] = None) -> None:
+        """:meth:`submit` for a request :meth:`_check_servable` has already passed."""
         request.reset_scheduler_state()
         if now is not None:
             self._clock = max(self._clock, now)
@@ -514,6 +518,10 @@ class ContinuousBatchingScheduler:
         policy-keyed admission path and re-prefills locally.
         """
         self._check_servable(request)
+        self._submit_resumed(request, now)
+
+    def _submit_resumed(self, request: Request, now: Optional[float] = None) -> None:
+        """:meth:`submit_resumed` for a request :meth:`_check_servable` has already passed."""
         if now is not None:
             self._clock = max(self._clock, now)
         self._outstanding_tokens += request.remaining_tokens()
@@ -1290,6 +1298,7 @@ class ContinuousBatchingScheduler:
         entry, so the same trace can be re-run — e.g. to A/B two systems or two policies —
         without stale state leaking between runs.
         """
+        # Every request is checked once, before any state changes.
         for request in requests:
             self._check_servable(request)
 
@@ -1302,7 +1311,7 @@ class ContinuousBatchingScheduler:
         while arrivals or self.has_work:
             # ---- admit arrived requests into the policy-keyed waiting heap.
             while arrivals and arrivals[0][0] <= self._clock:
-                self.submit(heapq.heappop(arrivals)[2])
+                self._submit(heapq.heappop(arrivals)[2])
             if not self.has_work:
                 self._clock = arrivals[0][0]
                 continue

@@ -33,6 +33,7 @@ from typing import Any, Dict, Optional, Sequence
 from .serving.metrics import SloSpec
 from .serving.models import list_models
 from .serving.policies import PREEMPTION_POLICIES, SCHEDULING_POLICIES
+from .serving.router import ROUTER_POLICIES
 from .serving.systems import ClusterSpec, list_systems
 from .telemetry import (
     PHASES,
@@ -65,6 +66,7 @@ def run_traced(args: argparse.Namespace) -> Dict[str, Any]:
             "num_replicas": args.num_replicas,
             "num_prefill_replicas": args.num_prefill_replicas,
             "num_decode_replicas": args.num_decode_replicas,
+            "router": args.router,
         }),
         workload=WorkloadSpec(
             args.num_requests, args.rate, seed=args.seed,
@@ -134,6 +136,9 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
                         help="prefill replicas for --mode disaggregated (default 1)")
     parser.add_argument("--num-decode-replicas", type=int, default=None,
                         help="decode replicas for --mode disaggregated (default 1)")
+    parser.add_argument("--router", default=None, choices=sorted(ROUTER_POLICIES),
+                        help="router policy for the cluster modes (default: round-robin "
+                             "for colocated, disaggregated for disaggregated)")
     parser.add_argument("--num-requests", type=int, default=200)
     parser.add_argument("--rate", type=float, default=10.0,
                         help="mean arrival rate (requests/s)")
@@ -159,6 +164,8 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     parser.add_argument("--top", type=int, default=10,
                         help="slowest requests to print in the critical-path table")
     args = parser.parse_args(argv)
+    if args.router is not None and args.mode == "single":
+        parser.error("--router applies to --mode colocated or disaggregated")
 
     run = run_traced(args)
     tracer = run["tracer"]

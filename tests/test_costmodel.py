@@ -104,15 +104,6 @@ class TestGemmCost:
                                                pipeline=PipelineMode.SERIAL_DEQUANT))
         assert serial.total > overlap.total
 
-    def test_no_overlap_is_worst(self):
-        shape = GemmShape(256, 8192, 4096)
-        results = {
-            mode: gemm_cost(shape, H800, params(tile_m=256, alpha=2.0, pipeline=mode)).total
-            for mode in PipelineMode.ALL
-        }
-        assert results[PipelineMode.NO_OVERLAP] >= results[PipelineMode.SERIAL_DEQUANT]
-        assert results[PipelineMode.SERIAL_DEQUANT] >= results[PipelineMode.FULL_OVERLAP]
-
     def test_m_tiles_scaling(self):
         small = gemm_cost(GemmShape(128, 4096, 4096), H800, params())
         large = gemm_cost(GemmShape(256, 4096, 4096), H800, params())
@@ -168,10 +159,8 @@ def _equation6(shape, gpu, p):
     t_mma = effective_m * 2.0 * nk / phi_tc
     if p.pipeline == PipelineMode.FULL_OVERLAP:
         per_m_tile = max(t_load, t_dequant, t_mma)
-    elif p.pipeline == PipelineMode.SERIAL_DEQUANT:
-        per_m_tile = max(t_load, t_dequant + t_mma)
     else:
-        per_m_tile = t_load + t_dequant + t_mma
+        per_m_tile = max(t_load, t_dequant + t_mma)
     t_epilogue = p.epilogue_ops_per_output * shape.m * shape.n / gpu.cuda_core_fp32_tops
     return m_tiles * per_m_tile + t_epilogue + p.launch_overhead_s
 

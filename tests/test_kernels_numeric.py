@@ -1,5 +1,7 @@
 """Numerical-correctness tests for every GEMM kernel (repro.kernels)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.kernels import (
     default_comparison_set,
     get_kernel,
 )
+from repro.kernels.base import K_BLOCK, int8_gemm
 from repro.quant import (
     lqq_dequantize_int8_reference,
     qserve_dequantize_int8,
@@ -158,7 +161,7 @@ class TestInt8Accumulation:
 
     def test_float64_accumulation_exact_beyond_float32(self):
         """One-signed codes at K = 4096 drive |acc| to ~5.4e7, past 2**24: float32 loses
-        integers there, the float64 accumulation must not."""
+        integers there, the K-blocked accumulation summed in float64 must not."""
         rng = np.random.default_rng(11)
         k = 4096
         w = 1.0 + 0.1 * rng.random((64, k))
@@ -173,6 +176,26 @@ class TestInt8Accumulation:
         assert not np.array_equal(acc_f32.astype(np.int64), acc)
         assert_same_bits(kernel.run(x, prepared), int64_gemm(x, w_i8, scale_ch))
 
+    @pytest.mark.parametrize("k", [1033, 2065, 4097])
+    def test_k_blocks_hold_every_partial_sum_below_2_24(self, k):
+        """Extreme codes, 127 x -128, with one odd product (127 x -127) per weight row,
+        placed every 516 columns across the rows.  Any K block wider than 1,032 columns
+        holds an odd row sum past 2**24, which float32 cannot represent; ``int8_gemm``'s
+        blocks of at most ``K_BLOCK`` columns keep every output exact."""
+        assert K_BLOCK == 1032
+        assert K_BLOCK * 127 * 128 < 2**24 <= (K_BLOCK + 1) * 127 * 128
+        x = np.full((3, k), 127.0)  # scale 1: the activation codes are x itself
+        odd_columns = range(0, k, K_BLOCK // 2)
+        w_i8 = np.full((len(odd_columns), k), -128, dtype=np.int8)
+        for row, col in enumerate(odd_columns):
+            w_i8[row, col] = -127
+        scale_ch = np.ones((len(odd_columns), 1))
+        reference = int64_gemm(x, w_i8, scale_ch)
+        # Accumulated over all of K at once in float32, the odd sums past 2**24 are lost.
+        one_block = x.astype(np.float32) @ w_i8.astype(np.float32).T
+        assert not np.array_equal(one_block.astype(np.float64), reference)
+        assert_same_bits(int8_gemm(x, w_i8, scale_ch), reference)
+
     def test_k_beyond_int32_accumulator_rejected(self):
         k = 132_160  # the smallest multiple of 64 with K * 127 * 128 >= 2**31
         assert (k - 64) * 127 * 128 < 2**31 <= k * 127 * 128
@@ -181,3 +204,20 @@ class TestInt8Accumulation:
         assert kernel.run(np.ones((1, k - 64)), fits).shape == (1, 1)
         with pytest.raises(ValueError, match="INT32"):
             kernel.run(np.ones((1, k)), kernel.prepare_weights(np.ones((1, k))))
+
+
+class TestPrepareMemory:
+    def test_prepare_weights_traced_peak_below_half_the_weight(self):
+        """``prepare_weights`` on a 1,024 x 4,096 float64 weight (32 MiB): the traced
+        allocations peak at 0.39x the weight's bytes, where whole-weight float64
+        temporaries once peaked at 3.3x."""
+        w = np.random.default_rng(3).normal(0.0, 0.02, (1024, 4096))
+        kernel = LiquidGemmKernel()
+        kernel.prepare_weights(w[:64, :64])  # build the one-time layout tables first
+        tracemalloc.start()
+        try:
+            kernel.prepare_weights(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * w.nbytes

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.quant import (
     dequantize_activation,
@@ -14,7 +15,49 @@ from repro.quant import (
 )
 
 
+def float64_per_token(x):
+    """Per-token quantization as float64 formulas on fresh temporaries (``|x|`` row
+    maximum, ``np.round``, ``np.clip``): the reference the in-place implementation must
+    reproduce bit for bit."""
+    amax = np.abs(x).max(axis=1, keepdims=True)
+    scale = np.maximum(amax / 127.0, np.finfo(np.float64).tiny)
+    return np.clip(np.round(x / scale), -127, 127).astype(np.int8), scale
+
+
+@st.composite
+def activation_rows(draw):
+    """Activations whose rows are arbitrary (subnormals included), all zero (signed zeros
+    mixed), all negative, or built so that ``x / scale`` lands on exact .5 ties."""
+    k = draw(st.integers(1, 48))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["any", "zero", "negative", "ties"]))
+        if kind == "zero":
+            row = np.where(draw(hnp.arrays(np.bool_, k)), -0.0, 0.0)
+        elif kind == "negative":
+            row = -draw(hnp.arrays(np.float64, k, elements=st.floats(1e-300, 1e300)))
+        elif kind == "ties":
+            # A row maximum of 127 * 2**e makes the scale exactly 2**e.
+            step = 2.0 ** draw(st.integers(-40, 40))
+            halves = draw(hnp.arrays(np.int64, k, elements=st.integers(-127, 126)))
+            row = (halves + 0.5) * step
+            row[draw(st.integers(0, k - 1))] = draw(st.sampled_from([-127, 127])) * step
+        else:
+            row = draw(hnp.arrays(np.float64, k, elements=st.floats(
+                -1e300, 1e300, allow_nan=False, allow_subnormal=True)))
+        rows.append(row)
+    return np.stack(rows)
+
+
 class TestActivationQuantization:
+    @given(activation_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_float64_formula(self, x):
+        qa = quantize_activation_per_token(x)
+        codes, scale = float64_per_token(x)
+        assert qa.q_i8.dtype == np.int8 and qa.q_i8.tobytes() == codes.tobytes()
+        assert qa.scale_tok.tobytes() == scale.tobytes()
+
     def test_codes_symmetric_int8(self, rng):
         x = rng.normal(0, 3.0, (8, 64))
         qa = quantize_activation_per_token(x)

@@ -212,6 +212,25 @@ class TestClusterValidation:
         with pytest.raises(ValueError, match="never be scheduled"):
             cluster.run([Request(0, prompt_tokens=too_big, output_tokens=4)])
 
+    @pytest.mark.parametrize("mode", ["single", "colocated", "disaggregated"])
+    def test_each_request_is_checked_once(self, trace, mode, monkeypatch):
+        """``run`` checks every request up front; routing and arrival then take the
+        unchecked submit paths, so no request is checked twice (nor its prefill clone,
+        nor its resumed decode phase)."""
+        checked = []
+        check = ContinuousBatchingScheduler._check_servable
+
+        def counting(scheduler, request):
+            checked.append(request.request_id)
+            check(scheduler, request)
+
+        monkeypatch.setattr(ContinuousBatchingScheduler, "_check_servable", counting)
+        if mode == "single":
+            ContinuousBatchingScheduler(ServingEngine("liquidserve", "llama2-7b")).run(trace)
+        else:
+            ServingCluster("liquidserve", "llama2-7b", ClusterSpec(mode=mode)).run(trace)
+        assert sorted(checked) == sorted(r.request_id for r in trace)
+
     def test_unknown_router_rejected_at_construction(self):
         with pytest.raises(KeyError, match="unknown router policy"):
             ServingCluster("liquidserve", "llama2-7b",

@@ -276,17 +276,45 @@ class TestTraceCli:
         ])
         assert "exact tiling: True" in capsys.readouterr().out
 
+    def test_cli_router_selects_cache_affinity(self, tmp_path, capsys):
+        """``--router cache-affinity`` sends every shared-prefix request to the replica
+        holding the prefix: one miss, where round-robin misses once per replica."""
+        def run(router):
+            trace_out, summary_out = tmp_path / "t.json", tmp_path / "s.json"
+            trace_cli.main([
+                "--mode", "colocated", "--num-replicas", "2", "--router", router,
+                "--prefix-caching", "--shared-prefix-tokens", "512",
+                "--num-requests", "30", "--rate", "15",
+                "--trace-out", str(trace_out), "--summary-out", str(summary_out),
+            ])
+            routes = [e["args"]["policy"] for e in json.loads(trace_out.read_text())
+                      ["traceEvents"] if e.get("name") == "route"]
+            assert routes == [router] * 30
+            summary = json.loads(summary_out.read_text())
+            return summary["prefix_cache"]["hits"], summary["prefix_cache"]["misses"]
+
+        assert run("cache-affinity") == (29, 1)
+        assert run("round-robin") == (27, 3)
+        assert capsys.readouterr().out.count("exact tiling: True") == 2
+
+    def test_cli_router_needs_a_cluster_mode(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            trace_cli.main(["--router", "cache-affinity"])
+        assert excinfo.value.code == 2
+        assert "--router applies to --mode colocated" in capsys.readouterr().err
+
     def test_cli_rejects_unknown_system(self):
         with pytest.raises(SystemExit):
             trace_cli.main(["--system", "definitely-not-a-system"])
 
-    @pytest.mark.parametrize("flag", ["--scheduling", "--preemption"])
+    @pytest.mark.parametrize("flag", ["--scheduling", "--preemption", "--router"])
     def test_cli_rejects_unknown_policy_listing_known_ones(self, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
             trace_cli.main([flag, "nope"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        known = "'fcfs'" if flag == "--scheduling" else "'recompute'"
+        known = {"--scheduling": "'fcfs'", "--preemption": "'recompute'",
+                 "--router": "'cache-affinity'"}[flag]
         assert "invalid choice: 'nope'" in err and known in err
 
     KV_PRESSURE = ["--num-requests", "60", "--rate", "20", "--seed", "3",
