@@ -136,10 +136,16 @@ class AttentionLine:
         return 8.0 * attended * self.heads * self.head_dim / self._chunk_tc
 
     def decode(self, batch_size: int, total_context):
-        """Total decode attention of ``batch_size`` sequences over ``total_context``."""
+        """Total decode attention of ``batch_size`` sequences over ``total_context``.
+
+        :meth:`decode_cost`'s terms written out and summed in its order (a KV read of the
+        context, the KV write of one token per sequence, the Tensor-Core work, the
+        launch), so the fast-forward loop prices an iteration in one call."""
         return (
-            self._kv_time(total_context) + self._kv_time(batch_size)
-            + self._decode_compute(total_context) + _ATTENTION_LAUNCH_OVERHEAD_S
+            2.0 * total_context * self.kv_dim * self.kv_bytes_per_element / self._effective_bw
+            + 2.0 * batch_size * self.kv_dim * self.kv_bytes_per_element / self._effective_bw
+            + 8.0 * total_context * self.heads * self.head_dim / self._decode_tc
+            + _ATTENTION_LAUNCH_OVERHEAD_S
         )
 
     def chunk(self, chunk_tokens: int, context_start):

@@ -118,10 +118,11 @@ _HOST_TRANSFER_LATENCY_S = 15.0e-6
 _INTERCONNECT_TRANSFER_LATENCY_S = 10.0e-6
 #: Iteration count from which :meth:`ServingEngine.price_epoch` prices with one array
 #: evaluation instead of a scalar loop.  Measured on a 2-vCPU Xeon host: the loop costs
-#: about 0.7 us per iteration plus 0.6 us per chunk, the array form about 19 us plus 11 us
-#: per chunk at any length.  Priced that way, the epochs of one pass of each perfbench
-#: serving workload cost least at 32, and within 1% of that anywhere from 28 to 40.
-_EPOCH_ARRAY_ITERATIONS = 32
+#: about 0.48 us per iteration plus 0.53 us per chunk (one attention-line call per
+#: decode-only iteration), the array form about 17 us plus 11 us per chunk, and 0.02 us
+#: per iteration.  Priced that way, the epochs of one pass of each perfbench serving
+#: workload cost least at 36 to 40, and within 1% of that anywhere from 32 to 44.
+_EPOCH_ARRAY_ITERATIONS = 40
 
 
 @dataclass
@@ -488,9 +489,11 @@ class ServingEngine:
             total_tokens += tokens
         if total_tokens <= 0:
             raise ValueError("an iteration must process at least one token")
-        return self._priced(
-            self._step_coeffs(total_tokens, logits_tokens), decode_batch, decode_total, chunks, 0
+        time, = self._iteration_times(
+            self._step_coeffs(total_tokens, logits_tokens), decode_batch, decode_total, chunks,
+            (0,),
         )
+        return time
 
     def _step_coeffs(
         self, total_tokens: int, logits_tokens: int
@@ -509,20 +512,27 @@ class ServingEngine:
             self._step_coeff_cache[key] = coeffs
         return coeffs
 
-    def _priced(self, coeffs, decode_batch, decode_total, chunks, step):
-        """Iteration ``step`` (0-based; an int64 array prices many, elementwise) of a pinned
-        run whose first iteration is ``(decode_total, chunks)``: each step adds one token
-        per decoding sequence and one chunk to each chunk's cached prefix."""
+    def _iteration_times(self, coeffs, decode_batch, decode_total, chunks, steps):
+        """Yield the time of each iteration ``step`` (0-based) in ``steps`` of a pinned run
+        whose first iteration is ``(decode_total, chunks)``: each step adds one token per
+        decoding sequence and one chunk to each chunk's cached prefix.  A step that is an
+        int64 array prices many iterations, elementwise.
+
+        The one composition of an iteration's cost from its context-independent terms
+        (``coeffs``) and the attention line.  A caller iterating over many scalar steps
+        pays one attention-line call per decode-only iteration and no other call."""
         gemm, others, comm, lm_head = coeffs
         line = self._attention_line
-        attention = (
-            line.decode(decode_batch, decode_total + step * decode_batch) if decode_batch
-            else 0.0
-        )
-        for tokens, start in chunks:
-            attention = attention + line.chunk(tokens, start + step * tokens)
-        per_layer = gemm + attention + others + comm
-        return per_layer * self.model.num_layers + lm_head
+        decode, chunk = line.decode, line.chunk
+        layers = self.model.num_layers
+        for step in steps:
+            attention = (
+                decode(decode_batch, decode_total + step * decode_batch) if decode_batch
+                else 0.0
+            )
+            for tokens, start in chunks:
+                attention = attention + chunk(tokens, start + step * tokens)
+            yield (gemm + attention + others + comm) * layers + lm_head
 
     def price_epoch(
         self,
@@ -560,25 +570,28 @@ class ServingEngine:
                 # Contexts only grow inside an epoch, so no iteration is cheaper than the
                 # first and at most ``reach`` of them start before the horizon.  The array
                 # covers those plus slack for rounding; the loop below finishes any rest.
-                reach = (stop_before - clock) / self._priced(
-                    coeffs, decode_batch, decode_total, chunks, 0
-                )
+                first, = self._iteration_times(coeffs, decode_batch, decode_total, chunks, (0,))
+                reach = (stop_before - clock) / first
                 if reach < iterations:
                     span = min(iterations, int(reach) + 2)
             if span >= _EPOCH_ARRAY_ITERATIONS:
-                times = self._priced(
-                    coeffs, decode_batch, decode_total, chunks, np.arange(span, dtype=np.int64)
+                times, = self._iteration_times(
+                    coeffs, decode_batch, decode_total, chunks, (np.arange(span, dtype=np.int64),)
                 )
                 clocks = np.cumsum(np.concatenate(([clock], times)))
                 done = span
                 if stop_before is not None:
                     done = int(np.searchsorted(clocks[:span], stop_before, side="left"))
                 clock = float(clocks[done])
-        while done < iterations:
-            if stop_before is not None and not clock < stop_before:
-                break
-            clock += self._priced(coeffs, decode_batch, decode_total, chunks, done)
-            done += 1
+        if done < iterations and (stop_before is None or clock < stop_before):
+            # Each iteration is priced only once the clock shows it starts in time.
+            for time in self._iteration_times(
+                coeffs, decode_batch, decode_total, chunks, range(done, iterations)
+            ):
+                clock += time
+                done += 1
+                if stop_before is not None and not clock < stop_before:
+                    break
         return done, clock
 
     def prefill_time(self, batch_size: int, prompt_length: int) -> float:

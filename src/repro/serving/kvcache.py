@@ -24,7 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, Sequence
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from ..backend import kv_format_bytes
 from .models import ModelConfig
@@ -123,6 +124,7 @@ class PagedKvCache:
         self.config = config
         self._free_blocks: List[int] = list(range(config.total_blocks))
         self._sequences: Dict[int, SequenceState] = {}
+        self._sequence_view: Mapping[int, SequenceState] = MappingProxyType(self._sequences)
         self._ref_counts: Dict[int, int] = {}
         # Exact count of device blocks with reference count >= 2.  Every path that moves
         # a count across 1 <-> 2 updates it, so the shared-block scans of victim
@@ -196,6 +198,15 @@ class PagedKvCache:
 
     def sequence(self, seq_id: int) -> SequenceState:
         return self._sequences[seq_id]
+
+    @property
+    def sequences(self) -> Mapping[int, SequenceState]:
+        """Read-only ``{seq_id: state}`` view of the device-resident sequences.
+
+        A caller walking a whole batch reads each state by one lookup, not one
+        :meth:`sequence` call per sequence.
+        """
+        return self._sequence_view
 
     def is_swapped(self, seq_id: int) -> bool:
         return seq_id in self._swapped
@@ -379,17 +390,56 @@ class PagedKvCache:
         state.num_tokens += num_tokens
         return state
 
+    def reserve_decode_slots(self, seq_ids: Sequence[int]) -> Tuple[List[int], List[int]]:
+        """Grow each listed resident sequence by one token (its decode slot) in one call.
+
+        The scheduler's per-iteration bulk path.  Slots are reserved in list order, each
+        taking its block (if it opens one) from the top of the free list, exactly as one
+        :meth:`extend_state` call per sequence would.  A slot opens a block when its
+        sequence's token count is a multiple of ``block_tokens``: every sequence holds
+        exactly ``ceil(tokens / block_tokens)`` blocks.  When the free list runs dry, every
+        later slot that opens a block is skipped, and the caller reserves those itself,
+        preempting as it sees fit.
+
+        Returns ``(contexts, skipped)``: each sequence's token count before its slot, in
+        list order, and the list positions of the skipped slots (empty when the pool
+        covered every slot).
+
+        The precondition of :meth:`grow_states` applies: no listed sequence's partially
+        filled tail block is shared, so no slot needs a copy-on-write.
+        """
+        sequences = self._sequences
+        free = self._free_blocks
+        ref_counts = self._ref_counts
+        block_tokens = self.config.block_tokens
+        contexts: List[int] = []
+        skipped: List[int] = []
+        for seq_id in seq_ids:
+            state = sequences[seq_id]
+            tokens = state.num_tokens
+            contexts.append(tokens)
+            if tokens % block_tokens == 0:
+                if not free:
+                    skipped.append(len(contexts) - 1)
+                    continue
+                block = free.pop()
+                ref_counts[block] = 1
+                state.blocks.append(block)
+            state.num_tokens = tokens + 1
+        return contexts, skipped
+
     def grow_states(self, states: List[SequenceState], num_tokens: int) -> None:
         """Grow several resident *unforked* sequences by the same token count.
 
         The fast-forward bulk path: one call grows a whole decode batch by ``num_tokens``
         tokens each, with the block math inlined per sequence.  The caller guarantees no
         sequence's *partial tail block* is shared, so the copy-on-write tail check is
-        skipped.  The scheduler satisfies this even with prefix caching enabled: cache
-        shares (:meth:`fork_from_blocks`, published prefixes) are always block-aligned,
-        so a shared block is never the growing tail.  Allocation remains all-or-nothing
-        per sequence, and callers pre-check total demand so exhaustion cannot strike
-        midway.
+        skipped.  The scheduler satisfies this for both bulk paths (this one and
+        :meth:`reserve_decode_slots`), even with prefix caching enabled: cache shares
+        (:meth:`fork_from_blocks`, published prefixes) are always whole blocks, so a
+        shared block is never a partially filled tail.  Allocation remains
+        all-or-nothing per sequence, and callers pre-check total demand so exhaustion
+        cannot strike midway.
         """
         if num_tokens < 0:
             raise ValueError("num_tokens must be non-negative")

@@ -39,10 +39,11 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import heapq
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from typing import TYPE_CHECKING
 
@@ -61,6 +62,13 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import, keeps serving de
     from ..telemetry.tracer import Tracer
 
 __all__ = ["Request", "SchedulerStats", "ContinuousBatchingScheduler"]
+
+
+@functools.lru_cache(maxsize=None)
+def _field_values(cls) -> operator.attrgetter:
+    """A getter of every dataclass field's value of a ``cls`` instance, in ``__init__``
+    order."""
+    return operator.attrgetter(*(f.name for f in dataclasses.fields(cls)))
 
 
 @dataclass(eq=False, slots=True)
@@ -124,6 +132,18 @@ class Request:
         """Tokens of work left (prefill positions still to cache + tokens still to emit)."""
         target = self.prefill_target or self.prompt_tokens
         return max(0, target - self.prefilled) + max(0, self.output_tokens - self.generated)
+
+    def __copy__(self) -> "Request":
+        """A shallow copy built by the constructor from every dataclass field's value.
+
+        ``copy.copy`` would otherwise reconstruct the slotted instance through
+        ``__reduce_ex__``, several times slower, and every completed request is copied
+        at least once per run (:meth:`ContinuousBatchingScheduler.stats` snapshots).
+        The field list is derived per class, so a field added later, here or in a
+        subclass, is copied too; every field is an ``__init__`` argument.
+        """
+        cls = type(self)
+        return cls(*_field_values(cls)(self))
 
     def reset_scheduler_state(self) -> None:
         """Clear every scheduler-owned field, making the request safe to (re-)submit.
@@ -735,12 +755,60 @@ class ContinuousBatchingScheduler:
                 request_id=request.request_id, generated=request.generated,
             )
 
+    def _reserve_decode_slots(self) -> List[int]:
+        """Reserve this iteration's decode slot for every running sequence; returns the
+        cached context of each sequence that keeps its slot, in running order.
+
+        One :meth:`PagedKvCache.reserve_decode_slots` call reserves every slot the free
+        pool can supply, in running order.  A slot that fits its tail block needs no new
+        block, because every resident sequence holds exactly ``ceil(tokens /
+        block_tokens)`` blocks and its shares are whole blocks (the
+        :meth:`PagedKvCache.grow_states` precondition).  Only a slot that opens a block
+        after the pool ran dry walks the guarded path, in running order: it preempts
+        until its block fits.  A victim drops the slot it already holds (see
+        :meth:`_preempt_one`) and is neither charged nor decoded.
+        """
+        running = self._running
+        if not running:
+            return []
+        kv = self.kv_cache
+        contexts, skipped = kv.reserve_decode_slots([r.request_id for r in running])
+        if not skipped:
+            return contexts
+        batch = list(running)  # _preempt_one removes victims from self._running
+        preemptions_before = self._preemption_count
+        for position in skipped:
+            request = batch[position]
+            if self._preemption_count != preemptions_before and request not in running:
+                continue  # evicted while making room for an earlier sequence
+            state = kv.sequence(request.request_id)
+            while True:
+                try:
+                    kv.extend_state(state, 1)
+                    break
+                except KvCacheOutOfMemory:
+                    if not self._preempt_one(exclude=request,
+                                             reason="kv_pressure"):  # pragma: no cover - guarded
+                        raise RuntimeError(
+                            "KV pool too small for a single request despite admission guard"
+                        )
+        if self._preemption_count == preemptions_before:
+            return contexts
+        kept = set(running)
+        return [context for request, context in zip(batch, contexts) if request in kept]
+
     def step(self) -> None:
         """Execute one scheduler iteration, advancing the local clock.
 
         One call performs at most one mixed forward pass; calls that only shuffle KV state
         (preempting a stuck resident, swapping a sequence back in) are allowed to return
         without a pass — :attr:`has_work` tells the driver whether to keep stepping.
+        Decode slots are reserved in one bulk KV call (:meth:`_reserve_decode_slots`);
+        only slots that open a block after the pool ran dry are reserved one at a time.
+        The bulk call skips the copy-on-write check under the precondition of the
+        fast-forward bulk path (:meth:`PagedKvCache.grow_states`): no resident
+        sequence's partially filled tail block is shared, because prefix-cache shares
+        are whole blocks.
         """
         if not self.has_work:
             raise RuntimeError("step() called on an idle scheduler")
@@ -800,38 +868,7 @@ class ContinuousBatchingScheduler:
 
         # ---- reserve one decode slot per running sequence, preempting on exhaustion.
         preemptions_before_iteration = self._preemption_count
-        kv = self.kv_cache
-        if kv.num_free_blocks >= len(self._running):
-            # Ample headroom: each append allocates at most one block, so no reservation
-            # can fail and no victim can be evicted — skip the guarded path entirely.
-            contexts = []
-            for request in self._running:
-                state = kv.sequence(request.request_id)
-                contexts.append(state.num_tokens)
-                kv.extend_state(state, 1)
-        else:
-            reserved_context: Dict[int, int] = {}
-            for request in list(self._running):
-                if (
-                    self._preemption_count != preemptions_before_iteration
-                    and request not in self._running
-                ):
-                    continue  # evicted while making room for an earlier sequence
-                while True:
-                    state = kv.sequence(request.request_id)
-                    context = state.num_tokens
-                    try:
-                        kv.extend_state(state, 1)
-                        reserved_context[request.request_id] = context
-                        break
-                    except KvCacheOutOfMemory:
-                        if not self._preempt_one(exclude=request,
-                                                 reason="kv_pressure"):  # pragma: no cover - guarded
-                            raise RuntimeError(
-                                "KV pool too small for a single request despite admission guard"
-                            )
-            # Victims evicted after reserving their slot must not be charged (or decoded).
-            contexts = [reserved_context[r.request_id] for r in self._running]
+        contexts = self._reserve_decode_slots()
         decode_batch = len(contexts)
 
         # ---- plan chunked prefill under the iteration token budget.
@@ -972,9 +1009,9 @@ class ContinuousBatchingScheduler:
         # ---- decode bookkeeping: every running sequence emitted one token.
         still_running: List[Request] = []
         self._outstanding_tokens -= len(self._running)
+        self._generated_tokens += len(self._running)
         for request in self._running:
             request.generated += 1
-            self._generated_tokens += 1
             if request.finished:
                 self._finish(request)
             else:
@@ -1143,6 +1180,7 @@ class ContinuousBatchingScheduler:
             return 0  # a replaced pool with foreign residents: step through it
         queued = bool(self._waiting or self._imported or self._swapped)
         block_tokens = kv.config.block_tokens
+        sequences = kv.sequences
         engine = self.engine
         advanced = 0
         while self._running or self._prefilling:
@@ -1150,7 +1188,22 @@ class ContinuousBatchingScheduler:
                 break
             running = self._running
             batch = len(running)
-            run_states = [kv.sequence(r.request_id) for r in running]
+            budget = max(0, self.max_batched_tokens - batch)
+            if queued and not self._prefilling and not self._queues_parked(budget, ()):
+                break  # decided before the batch is walked: no chunk schedule to wait for
+
+            # ---- one pass over the batch: its states, summed context and earliest
+            # finisher (the remaining output of the first sequence to finish).
+            run_states: List[SequenceState] = []
+            total0 = 0
+            finish = None
+            for request in running:
+                state = sequences[request.request_id]
+                run_states.append(state)
+                total0 += state.num_tokens
+                left = request.output_tokens - request.generated
+                if finish is None or left < finish:
+                    finish = left
             free_blocks = kv.num_free_blocks
 
             # ---- the pinned chunk schedule: step()'s budget walk with iteration 1's
@@ -1160,7 +1213,6 @@ class ContinuousBatchingScheduler:
             # budget).  A starved chunk stays starved for the whole epoch only if it
             # cannot fit even the epoch's starting free-block count — free blocks only
             # shrink; a skip caused by allocation order alone is not provably stable.
-            budget = max(0, self.max_batched_tokens - batch)
             takes: List[Tuple[Request, SequenceState, int]] = []
             if self._prefilling:
                 avail = free_blocks
@@ -1178,7 +1230,7 @@ class ContinuousBatchingScheduler:
                         self.prefill_chunk_tokens,
                         budget,
                     )
-                    state = kv.sequence(request.request_id)
+                    state = sequences[request.request_id]
                     needed = (
                         state.num_tokens + take + block_tokens - 1
                     ) // block_tokens - len(state.blocks)
@@ -1189,13 +1241,13 @@ class ContinuousBatchingScheduler:
                     avail -= needed
                     takes.append((request, state, take))
                     budget -= take
-            if queued and not self._queues_parked(budget, takes):
-                break
+                if queued and not self._queues_parked(budget, takes):
+                    break
 
             # ---- composition horizon: the earliest finisher's last decode iteration,
             # and ceil(remaining / take) - 1 iterations before each prefill's completing
             # chunk.
-            k = min(r.output_tokens - r.generated for r in running) if running else None
+            k = finish
             for request, _, take in takes:
                 safe = (request.prefill_target - request.prefilled + take - 1) // take - 1
                 if k is None or safe < k:
@@ -1240,9 +1292,6 @@ class ContinuousBatchingScheduler:
             # ---- price iterations 1..k in one engine call (iteration i sums decode
             # context T0 + (i-1) * batch; each chunk's cached prefix grows by its size),
             # cut at the horizon.
-            total0 = 0
-            for state in run_states:
-                total0 += state.num_tokens
             k, new_clock = engine.price_epoch(
                 batch, total0, [(take, request.prefilled) for request, _, take in takes],
                 k, self._clock, stop_before,
@@ -1275,6 +1324,13 @@ class ContinuousBatchingScheduler:
                     decode_batch=batch, chunks=len(takes),
                 )
                 self._maybe_sample_counters()
+            if k != finish:
+                # Cut short of the earliest finisher (by a prompt-completing chunk, the
+                # KV horizon or the driver's horizon): nobody retires, and what cut the
+                # epoch is step()'s or the driver's to handle.
+                for request in running:
+                    request.generated += k
+                break
             still_running: List[Request] = []
             for request in running:
                 request.generated += k
@@ -1283,8 +1339,8 @@ class ContinuousBatchingScheduler:
                 else:
                     still_running.append(request)
             self._running = still_running
-            if len(still_running) == batch or queued:
-                break  # cut short of a retirement, or the freed blocks may unpark work
+            if queued:
+                break  # the freed blocks may unpark queued work
         return advanced
 
     # ------------------------------------------------------------------ simulation

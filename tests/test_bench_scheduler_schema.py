@@ -285,6 +285,108 @@ class TestMixedPhaseCoverageCount:
         }
 
 
+class TestKvCallCounts:
+    """Calls of every public :class:`PagedKvCache` method (nested ones included), counted
+    on the ``trace_simulation`` workload (500 requests) and the ``--fast`` mixed_phase
+    workload.  ``step()`` reserves a batch's decode slots in one bulk call, so while the
+    free pool covers every slot that opens a block, no decode slot costs a KV call of its
+    own.  When each slot cost a ``sequence`` and an ``extend_state`` call, these runs
+    made 46,317 calls (30,330 ``sequence``, 9,315 ``extend_state``) and 21,190."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        import inspect
+        from collections import Counter
+
+        from repro.serving import ContinuousBatchingScheduler, PagedKvCache
+
+        calls = Counter()
+        for name, function in list(vars(PagedKvCache).items()):
+            if name.startswith("_") or not inspect.isfunction(function):
+                continue
+
+            def counted(self, *args, _name=name, _function=function, **kwargs):
+                calls[_name] += 1
+                return _function(self, *args, **kwargs)
+
+            monkeypatch.setattr(PagedKvCache, name, counted)
+        # Per reservation: the batch, whether the pool covered every slot that opens a
+        # block, and the KV calls the reservation made.
+        reservations = []
+        reserve = ContinuousBatchingScheduler._reserve_decode_slots
+
+        def observed(self):
+            kv = self.kv_cache
+            block_tokens = kv.config.block_tokens
+            opening = sum(
+                1 for r in self._running
+                if kv._sequences[r.request_id].num_tokens % block_tokens == 0
+            )
+            batch, covered = len(self._running), opening <= kv.num_free_blocks
+            before = sum(calls.values())
+            contexts = reserve(self)
+            reservations.append((batch, covered, sum(calls.values()) - before))
+            return contexts
+
+        monkeypatch.setattr(ContinuousBatchingScheduler, "_reserve_decode_slots", observed)
+        return calls, reservations
+
+    def test_trace_simulation_kv_calls(self, monkeypatch):
+        from repro.core import simulate_serving
+
+        calls, reservations = self._count(monkeypatch)
+        sim = simulate_serving("liquidserve", "llama2-7b", num_requests=500,
+                               arrival_rate_rps=20.0, seed=0)
+        assert sim.stats.num_iterations == 9_626
+        # The pool always covers the batch: one call per reservation at any batch size.
+        assert all(covered for _, covered, _ in reservations)
+        assert {kv_calls for batch, _, kv_calls in reservations if batch} == {1}
+        assert max(batch for batch, _, _ in reservations) > 20
+        assert dict(calls) == {
+            "add_sequence": 500,
+            "can_admit": 983,
+            "extend_sequence": 688,
+            "extend_state": 763,
+            "free_sequence": 500,
+            "grow_states": 913,
+            "host_utilization": 1_544,
+            "reserve_decode_slots": 629,
+            "utilization": 1_544,
+        }
+        assert sum(calls.values()) == 8_064
+
+    def test_fast_mixed_phase_kv_calls(self, bench, monkeypatch):
+        from repro.core import simulate_serving
+
+        calls, reservations = self._count(monkeypatch)
+        sim = simulate_serving("liquidserve", "llama2-7b", **bench.mixed_phase_kwargs(150))
+        assert sim.stats.num_iterations == 12_985
+        covered = [kv_calls for batch, covered, kv_calls in reservations if batch and covered]
+        exhausted = [kv_calls for _, covered, kv_calls in reservations if not covered]
+        assert covered and set(covered) == {1}
+        assert exhausted and min(exhausted) > 1  # the walked slots call one at a time
+        assert dict(calls) == {
+            "add_sequence": 150,
+            "blocks_needed_to_extend": 568,
+            "can_admit": 901,
+            "can_swap_out": 444,
+            "extend_sequence": 1_384,
+            "extend_state": 1_869,
+            "free_sequence": 150,
+            "grow_states": 494,
+            "host_utilization": 1_216,
+            "reserve_decode_slots": 484,
+            "sequence": 458,
+            "shares_blocks": 1_309,
+            "swap_in": 222,
+            "swap_out": 222,
+            "swapped_sequence": 2_052,
+            "truncate_sequence": 222,
+            "utilization": 994,
+        }
+        assert sum(calls.values()) == 13_139
+
+
 class TestCompareMode:
     """``--compare A B`` lists the leaves that differ, counts and simulated values before
     wall-clock ones, and fails only on a leaf that is not wall-clock."""

@@ -548,6 +548,33 @@ class TestFastForwardUnit:
         assert step.clock == fast.clock
         assert step.clock >= horizon or advanced == full
 
+    def test_parked_check_sees_the_budget_the_batch_leaves(self):
+        """A decode-only batch of 10 under a 24-token iteration budget leaves admission
+        14 tokens.  A new arrival's first chunk of 14 tokens fits the one free block, so
+        the queue is not parked and fast-forward declines before planning: step() is
+        due.  (A 24-token chunk would need two blocks.)"""
+
+        def build(kv_budget_bytes=None):
+            scheduler = ContinuousBatchingScheduler(
+                ServingEngine("liquidserve", "llama2-7b"), max_batched_tokens=24,
+                prefill_chunk_tokens=24, kv_budget_bytes=kv_budget_bytes,
+            )
+            for i in range(10):
+                scheduler.submit(Request(request_id=i, prompt_tokens=16,
+                                         output_tokens=200))
+            while not _in_steady_decode(scheduler):
+                scheduler.step()
+            return scheduler
+
+        probe = build()
+        # Blocks only grow until the first completion, so a pool one block larger than
+        # the steady state's never runs dry on the way there.
+        kv = probe.kv_cache
+        scheduler = build((kv.num_used_blocks + 1) * kv.config.bytes_per_block)
+        assert scheduler.kv_cache.num_free_blocks == 1
+        scheduler.submit(Request(request_id=99, prompt_tokens=64, output_tokens=4))
+        assert scheduler.fast_forward() == 0
+
     def test_horizon_already_passed_returns_zero(self):
         scheduler = self._steady_scheduler()
         assert scheduler.fast_forward(stop_before=scheduler.clock) == 0

@@ -907,3 +907,75 @@ class KvPrefixCacheMachine(KvForkSwapMachine):
 
 
 TestKvPrefixCacheStateMachine = KvPrefixCacheMachine.TestCase
+
+
+class KvSchedulerPoolMachine(KvPrefixCacheMachine):
+    """The prefix-cache machine restricted to the pool operations the scheduler makes,
+    plus its bulk decode-slot reservation.
+
+    The scheduler never forks a live sequence (``fork_sequence``) and truncates only a
+    preemption victim, by at most its reserved decode slot, before swapping it out or
+    freeing it.  Under those operations no resident sequence's partially filled tail
+    block is ever shared: cache shares are whole blocks.  That is the precondition of
+    :meth:`PagedKvCache.reserve_decode_slots` and :meth:`PagedKvCache.grow_states`, which
+    skip the copy-on-write check, and this machine holds it as an invariant.
+    """
+
+    def fork(self):
+        """Not a rule here: the scheduler never forks a live sequence."""
+
+    def truncate(self):
+        """Not a rule here: see :meth:`preempt`."""
+
+    @precondition(lambda self: self.resident)
+    @rule(data=st.data(), drop_slot=st.booleans())
+    def preempt(self, data, drop_slot):
+        """Drop the victim's decode slot, then swap it out, or free it (recompute)."""
+        seq_id = data.draw(st.sampled_from(sorted(self.resident)))
+        keep = max(0, self.resident[seq_id] - 1) if drop_slot else self.resident[seq_id]
+        self.cache.truncate_sequence(seq_id, keep)
+        self.resident[seq_id] = keep
+        if self.cache.can_swap_out(seq_id):
+            self.cache.swap_out(seq_id)
+            self.swapped[seq_id] = self.resident.pop(seq_id)
+        else:
+            self.cache.free_sequence(seq_id)
+            del self.resident[seq_id]
+
+    @precondition(lambda self: self.resident)
+    @rule(data=st.data())
+    def reserve_decode_slots(self, data):
+        """One bulk reservation over a batch of residents equals one-token growth of each
+        in order, taking blocks from the top of the free list, until the pool runs dry;
+        after that every slot that opens a block is skipped."""
+        batch = data.draw(st.permutations(sorted(self.resident)))
+        batch = batch[:data.draw(st.integers(min_value=1, max_value=len(batch)))]
+        block_tokens = self.config.block_tokens
+        free = list(self.cache._free_blocks)
+        expected_blocks = {s: list(self.cache.sequence(s).blocks) for s in batch}
+        expected_skipped = []
+        for position, seq_id in enumerate(batch):
+            if self.resident[seq_id] % block_tokens == 0:
+                if not free:
+                    expected_skipped.append(position)
+                    continue
+                expected_blocks[seq_id].append(free.pop())
+        contexts, skipped = self.cache.reserve_decode_slots(batch)
+        assert contexts == [self.resident[s] for s in batch]
+        assert skipped == expected_skipped
+        assert self.cache._free_blocks == free
+        for position, seq_id in enumerate(batch):
+            assert self.cache.sequence(seq_id).blocks == expected_blocks[seq_id]
+            if position not in skipped:
+                self.resident[seq_id] += 1
+
+    @invariant()
+    def no_partially_filled_tail_is_shared(self):
+        block_tokens = self.config.block_tokens
+        for seq_id, tokens in self.resident.items():
+            if tokens % block_tokens:
+                tail = self.cache.sequence(seq_id).blocks[-1]
+                assert self.cache.block_ref_count(tail) == 1
+
+
+TestKvSchedulerPoolStateMachine = KvSchedulerPoolMachine.TestCase

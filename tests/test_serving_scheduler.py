@@ -2,6 +2,9 @@
 prefill, preemption-and-recompute under KV pressure, heap admission, and the ragged-batch
 step-cost API it drives."""
 
+import copy
+import dataclasses
+
 import pytest
 
 from repro.core import simulate_serving
@@ -440,3 +443,38 @@ class TestSchedulerStats:
             [Request(i, 32, 4) for i in range(4)]
         )
         assert stats.throughput_tokens_per_s > 0
+
+
+@dataclasses.dataclass(eq=False, slots=True)
+class _TaggedRequest(Request):
+    """A request type with one field more than :class:`Request`."""
+
+    tag: str = "untagged"
+
+
+class TestRequestCopy:
+    """``copy.copy`` of a request goes through the constructor (``Request.__copy__``)."""
+
+    @pytest.mark.parametrize("cls", [Request, _TaggedRequest])
+    def test_every_field_is_copied(self, cls):
+        original = cls(request_id=1, prompt_tokens=10, output_tokens=5)
+        names = [f.name for f in dataclasses.fields(cls)]
+        for name in names:  # a distinct object per field, whatever its type
+            setattr(original, name, object())
+        duplicate = copy.copy(original)
+        assert type(duplicate) is cls
+        for name in names:
+            assert getattr(duplicate, name) is getattr(original, name), name
+
+    def test_copy_is_a_distinct_object_and_mutating_it_leaves_the_original(self):
+        original = Request(request_id=3, prompt_tokens=40, output_tokens=8,
+                           arrival_time_s=0.25, prefix_group=1,
+                           prefix_segments=((7, 16),))
+        original.generated = 2
+        before = {f.name: getattr(original, f.name) for f in dataclasses.fields(Request)}
+        duplicate = copy.copy(original)
+        assert duplicate is not original
+        for f in dataclasses.fields(Request):
+            setattr(duplicate, f.name, None)
+        duplicate.reset_scheduler_state()
+        assert {f.name: getattr(original, f.name) for f in dataclasses.fields(Request)} == before

@@ -376,3 +376,38 @@ class TestSweepTracing:
             open(payload["cells"][0]["trace_files"]["summary"]).read()
         )
         assert summary["requests"]["breakdowns_exact"] is True
+
+
+class TestTracingOff:
+    """A tracer-off run constructs no :class:`Tracer` and records nothing: every telemetry
+    hook is one ``is None`` guard.  (The perf gate's ``tracing_off`` ratio times this
+    path; this counts it.)"""
+
+    @pytest.mark.parametrize("mode", ["single", "colocated", "disaggregated"])
+    def test_tracer_off_run_constructs_no_tracer_and_emits_no_event(self, mode,
+                                                                   monkeypatch):
+        calls = []
+        for name in ("__init__", "emit", "sample", "attach_engine", "set_replica_role"):
+            original = getattr(Tracer, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(Tracer, name, counted)
+        options = dict(num_requests=40, arrival_rate_rps=30.0, seed=2,
+                       kv_budget_bytes=GB, preemption_policy="hybrid",
+                       prefix_caching=True, shared_prefix_tokens=64)
+        if mode == "single":
+            sim = simulate_serving("liquidserve", "llama2-7b", **options)
+            stats = [sim.stats]
+        else:
+            replicas = {"num_replicas": 2} if mode == "colocated" else {}
+            sim = simulate_cluster("liquidserve", "llama2-7b", mode=mode, **replicas,
+                                   **options)
+            stats = sim.replica_stats
+        assert len(sim.per_request) == 40
+        assert sum(s.preemptions for s in stats) > 0
+        assert calls == []
+        Tracer()  # the counter is live: a construction is seen
+        assert calls == ["__init__"]
