@@ -391,10 +391,13 @@ def compare_files(path_a: str, path_b: str) -> int:
     for title, rows in (("counts and simulated values", simulated),
                         ("wall-clock", wall_clock)):
         if rows:
-            print(f"{title}:")
-            for path, value_a, value_b in rows:
-                print(f"  {path}: {value_a} -> {value_b}")
+            print(f"{title}:\n{difference_lines(rows)}")
     return 1 if simulated else 0
+
+
+def difference_lines(rows) -> str:
+    """One ``  path: a -> b`` line per ``(path, value in a, value in b)`` row."""
+    return "\n".join(f"  {path}: {value_a} -> {value_b}" for path, value_a, value_b in rows)
 
 
 def _simulated_summary(sim) -> dict:
@@ -1050,6 +1053,39 @@ def bench_tensor_parallel() -> dict:
     }
 
 
+#: Requests per section by mode; ``prefix`` is the agent-swarm trace's swarms x agents x
+#: steps (the full trace is 4*6*5 = 120 requests).
+SECTION_SIZES = {
+    "fast": {"trace": 120, "ab": 100, "cluster": 60, "mixed": 150, "sweep": 40, "grid": 8,
+             "prefix": (2, 4, 3)},
+    "full": {"trace": 500, "ab": 300, "cluster": 200, "mixed": 300, "sweep": 150,
+             "grid": 12, "prefix": (4, 6, 5)},
+}
+
+
+def scheduler_sections(sizes: dict, profile: bool = False):
+    """``(trace_simulation's run, sections)``: the six sections that serve a trace through
+    the scheduler, in payload order.  Every leaf of them that is not wall-clock is a count
+    or a simulated value; tier-1 pins those leaves at ``--fast`` size."""
+    trace_sim, trace_section = bench_trace_simulation(sizes["trace"], profile=profile)
+    return trace_sim, {
+        "trace_simulation": trace_section,
+        "mixed_phase": bench_mixed_phase(sizes["mixed"]),
+        "preemption_ab": bench_preemption_ab(sizes["ab"]),
+        "scheduling_ab": bench_scheduling_ab(sizes["ab"]),
+        "cluster_ab": bench_cluster_ab(sizes["cluster"]),
+        "prefix_cache": bench_prefix_cache(*sizes["prefix"]),
+    }
+
+
+def without_wall_clock(payload):
+    """``payload`` with every wall-clock leaf (``WALL_CLOCK_LEAVES``) dropped."""
+    if not isinstance(payload, dict):
+        return payload
+    return {key: without_wall_clock(value) for key, value in payload.items()
+            if isinstance(value, dict) or key not in WALL_CLOCK_LEAVES}
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fast", action="store_true",
@@ -1064,31 +1100,19 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     if args.compare:
         raise SystemExit(compare_files(*args.compare))
-    trace_requests = 120 if args.fast else 500
-    ab_requests = 100 if args.fast else 300
-    cluster_requests = 60 if args.fast else 200
-    mixed_requests = 150 if args.fast else 300
-    sweep_requests = 40 if args.fast else 150
-    grid_requests = 8 if args.fast else 12
-    # swarms x agents x steps requests; the full trace is 4*6*5 = 120 requests.
-    prefix_shape = (2, 4, 3) if args.fast else (4, 6, 5)
+    mode = "fast" if args.fast else "full"
+    sizes = SECTION_SIZES[mode]
 
     _warm_up()
-    trace_sim, trace_section = bench_trace_simulation(trace_requests,
-                                                      profile=args.profile)
+    trace_sim, sections = scheduler_sections(sizes, profile=args.profile)
     payload = {
         "benchmark": "bench_scheduler",
-        "mode": "fast" if args.fast else "full",
-        "trace_simulation": trace_section,
-        "mixed_phase": bench_mixed_phase(mixed_requests),
-        "preemption_ab": bench_preemption_ab(ab_requests),
-        "scheduling_ab": bench_scheduling_ab(ab_requests),
-        "cluster_ab": bench_cluster_ab(cluster_requests),
-        "prefix_cache": bench_prefix_cache(*prefix_shape),
+        "mode": mode,
+        **sections,
         "scale": bench_scale(),
-        "sweep": bench_sweep(sweep_requests, fast_mode=args.fast),
-        "sweep_grid": bench_sweep_grid(grid_requests),
-        "tracing": bench_tracing(trace_requests, fast_mode=args.fast),
+        "sweep": bench_sweep(sizes["sweep"], fast_mode=args.fast),
+        "sweep_grid": bench_sweep_grid(sizes["grid"]),
+        "tracing": bench_tracing(sizes["trace"], fast_mode=args.fast),
         "tensor_parallel_llama2_70b": bench_tensor_parallel(),
     }
     validate_payload(payload)

@@ -441,3 +441,47 @@ class TestCompareMode:
         out = capsys.readouterr().out
         assert out.index("simulated.iterations: 6000 -> 6001") < out.index(
             "harness.iterations_per_s: 120000.0 -> 90000.0")
+
+
+_GOLDEN_JSON = os.path.join(os.path.dirname(__file__), "golden", "bench_scheduler_fast.json")
+
+
+def _assert_no_leaf_moved(bench, golden, sections):
+    moved, _ = bench.compare_payloads(golden, sections)
+    assert not moved, (
+        f"{len(moved)} counts or simulated values moved from "
+        f"tests/golden/bench_scheduler_fast.json:\n{bench.difference_lines(moved)}"
+    )
+
+
+class TestFastSchedulerGolden:
+    """Every count and simulated value of the six scheduler sections of the ``--fast``
+    payload, pinned.  The fast-forward equivalence suite runs ``step()`` on both of its
+    sides, so it cannot see ``step()`` itself change; this golden can.
+
+    The golden holds the sections with their wall-clock leaves (``WALL_CLOCK_LEAVES``)
+    dropped, as ``json.dump(bench.without_wall_clock(sections), fh, indent=2)`` writes
+    them.  A change that moves a leaf on purpose rewrites it and says why each leaf
+    moved."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with open(_GOLDEN_JSON, encoding="utf-8") as fh:
+            return json.load(fh)
+
+    def test_no_leaf_moved(self, bench, golden):
+        _, sections = bench.scheduler_sections(bench.SECTION_SIZES["fast"])
+        assert list(sections) == list(golden)
+        _assert_no_leaf_moved(bench, golden, sections)
+
+    def test_a_moved_leaf_fails_and_is_listed(self, bench, golden):
+        sections = json.loads(json.dumps(golden))
+        simulated = sections["mixed_phase"]["simulated"]
+        simulated["iterations"] += 1
+        sections["prefix_cache"]["harness"]["wall_time_s"] = 0.5  # wall-clock: ignored
+        with pytest.raises(AssertionError) as failure:
+            _assert_no_leaf_moved(bench, golden, sections)
+        iterations = golden["mixed_phase"]["simulated"]["iterations"]
+        assert "1 counts or simulated values moved" in str(failure.value)
+        assert (f"$.mixed_phase.simulated.iterations: {iterations} -> {iterations + 1}"
+                in str(failure.value))
