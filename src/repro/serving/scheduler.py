@@ -71,6 +71,11 @@ def _field_values(cls) -> operator.attrgetter:
     return operator.attrgetter(*(f.name for f in dataclasses.fields(cls)))
 
 
+def _share(used: int, total: int) -> float:
+    """``used / total``, 0.0 for an empty pool (as :meth:`PagedKvCache.utilization`)."""
+    return used / total if total else 0.0
+
+
 @dataclass(eq=False, slots=True)
 class Request:
     """One inference request.
@@ -443,8 +448,9 @@ class ContinuousBatchingScheduler:
         self._generated_tokens = 0
         self._outstanding_tokens = 0
         self._peak_batch = 0
-        self._peak_util = 0.0
-        self._peak_host_util = 0.0
+        # KV peaks in used blocks; stats() divides each by its pool's total once.
+        self._peak_used_blocks = 0
+        self._peak_host_used_blocks = 0
         self._preemption_count = 0
         self._kv_pressure_count = 0
         self._policy_victim_count = 0
@@ -578,6 +584,7 @@ class ContinuousBatchingScheduler:
         snapshot = [copy.copy(r) for r in self._completed]
         summary = compute_slo_report(snapshot, makespan_s=makespan)
         cache = self.prefix_cache
+        config = self.kv_cache.config
         return SchedulerStats(
             simulated_time_s=makespan,
             completed_requests=len(snapshot),
@@ -585,7 +592,7 @@ class ContinuousBatchingScheduler:
             mean_ttft_s=summary.mean_ttft_s,
             mean_latency_s=summary.mean_latency_s,
             peak_batch_size=self._peak_batch,
-            peak_kv_utilization=self._peak_util,
+            peak_kv_utilization=_share(self._peak_used_blocks, config.total_blocks),
             p50_ttft_s=summary.p50_ttft_s,
             p99_ttft_s=summary.p99_ttft_s,
             mean_tpot_s=summary.mean_tpot_s,
@@ -600,7 +607,9 @@ class ContinuousBatchingScheduler:
             preemptions_averted_by_cache=self._cache_averted_count,
             swap_ins=self._swap_in_count,
             kv_transfer_s=self._transfer_s_total,
-            peak_host_kv_utilization=self._peak_host_util,
+            peak_host_kv_utilization=_share(
+                self._peak_host_used_blocks, config.total_host_blocks
+            ),
             prefix_cache_hits=cache.hits if cache is not None else 0,
             prefix_cache_misses=cache.misses if cache is not None else 0,
             prefix_saved_tokens=cache.saved_tokens if cache is not None else 0,
@@ -713,8 +722,9 @@ class ContinuousBatchingScheduler:
             self._charge_transfer(transfer)
             self._swap_count += 1
             self._swapped.append(victim)
-            self._peak_host_util = max(
-                self._peak_host_util, self.kv_cache.host_utilization()
+            # The only place host usage grows: the host peak is sampled here alone.
+            self._peak_host_used_blocks = max(
+                self._peak_host_used_blocks, self.kv_cache.num_used_host_blocks
             )
             if self._tracer is not None:
                 self._tracer.emit(
@@ -808,20 +818,23 @@ class ContinuousBatchingScheduler:
         The bulk call skips the copy-on-write check under the precondition of the
         fast-forward bulk path (:meth:`PagedKvCache.grow_states`): no resident
         sequence's partially filled tail block is shared, because prefix-cache shares
-        are whole blocks.
+        are whole blocks.  The prefill chunks come from :meth:`_plan_chunks` and the
+        bookkeeping from :meth:`_advance` with ``k = 1``: the planner and the advance
+        :meth:`fast_forward` runs an epoch with.
         """
         if not self.has_work:
             raise RuntimeError("step() called on an idle scheduler")
+        kv = self.kv_cache
 
         # ---- land migrated sequences whose KV blocks fit (their transfer was already
         # charged by the cluster; the DMA costs no iteration compute).
         while self._imported and self.num_resident < self.max_batch_size:
             request = self._imported[0][2]
-            needed = self.kv_cache.config.blocks_for_tokens(request.imported_kv_tokens)
-            if needed > self.kv_cache.num_free_blocks:
+            needed = kv.config.blocks_for_tokens(request.imported_kv_tokens)
+            if needed > kv.num_free_blocks:
                 break  # wait for decode churn / completions to free device blocks
             heapq.heappop(self._imported)
-            self.kv_cache.add_sequence(request.request_id, request.imported_kv_tokens)
+            kv.add_sequence(request.request_id, request.imported_kv_tokens)
             # Landing collapses the request's notional local re-prefill (the full prompt)
             # into already-transferred KV: its remaining work shrinks accordingly.
             before = request.remaining_tokens()
@@ -842,12 +855,12 @@ class ContinuousBatchingScheduler:
         # no-progress eviction just freed for a blocked prefill.  With zero free blocks
         # no candidate can land (every swapped sequence holds >= 1 block), so the sorted
         # scan is skipped outright.
-        if self._swapped and self.kv_cache.num_free_blocks > 0:
+        if self._swapped and kv.num_free_blocks > 0:
             def next_chunk_blocks(r: Request) -> int:
                 take = min(r.prefill_target - r.prefilled, self.prefill_chunk_tokens)
                 if take <= 0:
                     return 0
-                return self.kv_cache.blocks_needed_to_extend(r.request_id, take)
+                return kv.blocks_needed_to_extend(r.request_id, take)
 
             # Computed once, then updated incrementally as swap-ins land (the only
             # thing that changes the resident set inside this pass).
@@ -857,11 +870,7 @@ class ContinuousBatchingScheduler:
             for request in sorted(self._swapped, key=self.scheduling_policy.key):
                 if self.num_resident >= self.max_batch_size:
                     break
-                # A decoding sequence also needs its own slot block this iteration.
-                needed = self.kv_cache.swapped_sequence(request.request_id).num_blocks
-                if request.decoding:
-                    needed += 1
-                if needed + headroom > self.kv_cache.num_free_blocks:
+                if self._swap_in_blocks(request) + headroom > kv.num_free_blocks:
                     continue
                 self._do_swap_in(request)
                 headroom += 1 if request.decoding else next_chunk_blocks(request)
@@ -871,24 +880,19 @@ class ContinuousBatchingScheduler:
         contexts = self._reserve_decode_slots()
         decode_batch = len(contexts)
 
-        # ---- plan chunked prefill under the iteration token budget.
-        budget = max(0, self.max_batched_tokens - decode_batch)
-        chunks: List[Tuple[Request, PrefillChunk]] = []
-        for request in list(self._prefilling):
-            if budget <= 0:
-                break
-            remaining = request.prefill_target - request.prefilled
-            take = min(remaining, self.prefill_chunk_tokens, budget)
-            if take <= 0:
-                continue
-            try:
-                self.kv_cache.extend_sequence(request.request_id, take)
-            except KvCacheOutOfMemory:
-                continue  # resume this prefill once decode churn frees blocks
-            is_last = request.prefilled + take >= request.prefill_target
-            produces = is_last and request.first_token_time_s is None
-            chunks.append((request, PrefillChunk(take, request.prefilled, produces)))
-            budget -= take
+        # ---- chunked prefill under the iteration token budget: allocate the planned
+        # chunks, and report each starved one as the allocation failure it stands for.
+        takes, budget, starved = self._plan_chunks(
+            max(0, self.max_batched_tokens - decode_batch), kv.num_free_blocks
+        )
+        if starved and self._tracer is not None:
+            for needed, free in starved:
+                self._tracer.emit(
+                    "kv_oom", self._clock, replica=self._trace_replica,
+                    needed_blocks=needed, free_blocks=free,
+                )
+        for _, state, take in takes:
+            kv.extend_state(state, take)
 
         # ---- admit new requests (skip while this iteration already preempted, so a
         # just-evicted victim cannot immediately reclaim the freed blocks and thrash).
@@ -904,11 +908,8 @@ class ContinuousBatchingScheduler:
             ):
                 request = self._waiting[0][2]
                 cached_blocks, take = self._admission_plan(request, budget)
-                if not self.kv_cache.can_admit(take):
-                    needed = (
-                        self.kv_cache.config.blocks_for_tokens(take)
-                        - self.kv_cache.num_free_blocks
-                    )
+                if not kv.can_admit(take):
+                    needed = kv.config.blocks_for_tokens(take) - kv.num_free_blocks
                     if (
                         self.prefix_cache is None
                         or self.prefix_cache.evict(needed) < needed
@@ -920,17 +921,14 @@ class ContinuousBatchingScheduler:
                     request.prefill_target = request.prompt_tokens
                 if request.first_scheduled_time_s is None:
                     request.first_scheduled_time_s = self._clock
+                cached = len(cached_blocks) * kv.config.block_tokens
                 if self._tracer is not None:
                     self._tracer.emit(
                         "admit", self._clock, replica=self._trace_replica,
-                        request_id=request.request_id, to="prefill",
-                        cached_tokens=(
-                            len(cached_blocks) * self.kv_cache.config.block_tokens
-                        ),
+                        request_id=request.request_id, to="prefill", cached_tokens=cached,
                     )
                 if cached_blocks:
-                    cached = len(cached_blocks) * self.kv_cache.config.block_tokens
-                    self.kv_cache.fork_from_blocks(request.request_id, cached_blocks)
+                    kv.fork_from_blocks(request.request_id, cached_blocks)
                     self.prefix_cache.commit_hit(request, len(cached_blocks))
                     before = request.remaining_tokens()
                     request.cached_prefix_tokens = cached
@@ -945,20 +943,16 @@ class ContinuousBatchingScheduler:
                 else:
                     if self.prefix_cache is not None:
                         self.prefix_cache.record_miss()
-                    self.kv_cache.add_sequence(request.request_id, 0)
-                self.kv_cache.extend_sequence(request.request_id, take)
+                    kv.add_sequence(request.request_id, 0)
                 self._prefilling.append(request)
-                is_last = request.prefilled + take >= request.prefill_target
-                produces = is_last and request.first_token_time_s is None
-                chunks.append((request, PrefillChunk(take, request.prefilled, produces)))
+                takes.append((request, kv.extend_sequence(request.request_id, take), take))
                 budget -= take
 
-        # ---- sample KV pressure at its within-iteration peak: after slot reservation,
-        # prefill extension and admission, before decode bookkeeping frees blocks.
-        self._peak_util = max(self._peak_util, self.kv_cache.utilization())
-        self._peak_host_util = max(self._peak_host_util, self.kv_cache.host_utilization())
+        # ---- sample the KV peak at its within-iteration high: after slot reservation,
+        # prefill extension and admission, before finishers free blocks.
+        self._peak_used_blocks = max(self._peak_used_blocks, kv.num_used_blocks)
 
-        if decode_batch == 0 and not chunks:
+        if decode_batch == 0 and not takes:
             # Every resident prefill is blocked on KV with nothing decoding: evict the
             # lowest-priority resident so the others can make progress.
             if self._prefilling or self._running:
@@ -973,8 +967,8 @@ class ContinuousBatchingScheduler:
                 candidate = min(self._swapped, key=self.scheduling_policy.key)
                 if self.prefix_cache is not None:
                     shortfall = (
-                        self.kv_cache.swapped_sequence(candidate.request_id).num_blocks
-                        - self.kv_cache.num_free_blocks
+                        kv.swapped_sequence(candidate.request_id).num_blocks
+                        - kv.num_free_blocks
                     )
                     if shortfall > 0:
                         self.prefix_cache.evict(shortfall)
@@ -986,59 +980,145 @@ class ContinuousBatchingScheduler:
                 return  # pragma: no cover - imports land as soon as blocks free up
             raise RuntimeError("scheduler made no progress")  # pragma: no cover
 
-        # ---- one mixed iteration: ragged decode + prefill chunks in one forward pass.
-        compute = self.engine.mixed_step_time(contexts, [c for _, c in chunks])
+        # ---- one mixed iteration: ragged decode + prefill chunks in one forward pass;
+        # a chunk that completes its prompt emits the first token unless one was emitted
+        # before a recompute preemption.
+        compute = self.engine.mixed_step_time(contexts, [
+            PrefillChunk(take, request.prefilled,
+                         request.prefilled + take >= request.prefill_target
+                         and request.first_token_time_s is None)
+            for request, _, take in takes
+        ])
         # Overlap mode hides swap DMAs behind compute: the iteration takes whichever is
         # longer, never their sum (the serialized model).
         iteration_start = self._clock
         self._clock += max(compute, self._pending_transfer_s)
         self._pending_transfer_s = 0.0
-        self._num_iterations += 1
-        self._chunk_count += len(chunks)
-        if self._tracer is not None:
-            self._tracer.emit(
-                "iteration", iteration_start, replica=self._trace_replica,
-                end=self._clock, decode_batch=decode_batch, chunks=len(chunks),
+        self._advance(1, takes, iteration_start, epoch=False)
+
+    def _swap_in_blocks(self, request: Request) -> int:
+        """Device blocks a swapped-out sequence needs to resume this iteration: its own
+        blocks, plus its decode slot's block when it resumes decoding."""
+        needed = self.kv_cache.swapped_sequence(request.request_id).num_blocks
+        return needed + 1 if request.decoding else needed
+
+    def _plan_chunks(
+        self, budget: int, free: int
+    ) -> Tuple[List[Tuple[Request, SequenceState, int]], int, List[Tuple[int, int]]]:
+        """The iteration's prefill chunks, planned without touching the pool.
+
+        The one chunk-budget walk: :meth:`step` allocates the chunks it plans and
+        :meth:`fast_forward` pins them for an epoch.  ``budget`` is the iteration's token
+        budget and ``free`` the free blocks, both what the decode slots leave.  In
+        residence order, each resident prefill takes ``min(remaining,
+        prefill_chunk_tokens, budget left)`` tokens when the blocks left cover its
+        growth, and is *starved* otherwise: skipped without consuming budget, as when
+        its allocation fails.  Its block need is the pool's: every sequence holds
+        ``ceil(tokens / block_tokens)`` blocks, and no prefill's partially filled tail
+        block is shared (prefix-cache shares are whole blocks), so no chunk copies a
+        block on write.
+
+        Returns ``(takes, budget_left, starved)``: ``(request, state, take)`` per
+        planned chunk, the budget left for admission, and ``(needed, free)`` per starved
+        chunk, the blocks it needed and the blocks left when the walk reached it.
+        """
+        sequences = self.kv_cache.sequences
+        block_tokens = self.kv_cache.config.block_tokens
+        chunk_tokens = self.prefill_chunk_tokens
+        takes: List[Tuple[Request, SequenceState, int]] = []
+        starved: List[Tuple[int, int]] = []
+        for request in self._prefilling:
+            if budget <= 0:
+                break
+            take = min(request.prefill_target - request.prefilled, chunk_tokens, budget)
+            state = sequences[request.request_id]
+            needed = (
+                (state.num_tokens + take + block_tokens - 1) // block_tokens
+                - len(state.blocks)
             )
-            for request, chunk in chunks:
-                self._tracer.emit(
-                    "chunk_prefill", self._clock, replica=self._trace_replica,
-                    request_id=request.request_id, tokens=chunk.tokens,
+            if needed > free:
+                starved.append((needed, free))
+                continue
+            free -= needed
+            takes.append((request, state, take))
+            budget -= take
+        return takes, budget, starved
+
+    def _advance(self, k: int, takes: Sequence[Tuple[Request, SequenceState, int]],
+                 start: float, epoch: bool) -> None:
+        """Account ``k`` iterations of the current batch, run from ``start`` to the clock.
+
+        The one k-iteration advance: :meth:`step` calls it with ``k = 1`` and
+        :meth:`fast_forward` once per epoch.  Every running sequence emitted ``k`` tokens
+        and every chunk of ``takes`` ran ``k`` times.  The iteration, chunk and token
+        counters, the outstanding-token counter, each sequence's progress and the batch
+        peak move by their k-iteration deltas; then the running sequences that finished
+        retire, in running order, and a prefill whose chunk completed its prompt starts
+        decoding (a stepped iteration only: an epoch ends before such a chunk).
+
+        ``epoch`` selects the trace form: one synthesized ``ff_mixed``/``ff_decode``
+        span with its closed-form duration, with counters sampled before the finishers
+        retire; or an ``iteration`` span and its ``chunk_prefill`` events, with counters
+        sampled after.
+        """
+        running = self._running
+        batch = len(running)
+        self._num_iterations += k
+        self._chunk_count += k * len(takes)
+        self._generated_tokens += k * batch
+        self._outstanding_tokens -= k * batch
+        for request, _, take in takes:
+            request.prefilled += k * take
+            self._outstanding_tokens -= k * take
+        self._peak_batch = max(self._peak_batch, batch + len(takes))
+        tracer = self._tracer
+        if tracer is not None:
+            if epoch:
+                tracer.emit(
+                    "ff_mixed" if takes else "ff_decode", start,
+                    replica=self._trace_replica, end=self._clock, iterations=k,
+                    decode_batch=batch, chunks=len(takes),
                 )
-
-        # ---- decode bookkeeping: every running sequence emitted one token.
-        still_running: List[Request] = []
-        self._outstanding_tokens -= len(self._running)
-        self._generated_tokens += len(self._running)
-        for request in self._running:
-            request.generated += 1
-            if request.finished:
-                self._finish(request)
+                self._maybe_sample_counters()
             else:
-                still_running.append(request)
-        self._running = still_running
+                tracer.emit(
+                    "iteration", start, replica=self._trace_replica,
+                    end=self._clock, decode_batch=batch, chunks=len(takes),
+                )
+                for request, _, take in takes:
+                    tracer.emit(
+                        "chunk_prefill", self._clock, replica=self._trace_replica,
+                        request_id=request.request_id, tokens=take,
+                    )
 
-        # ---- prefill bookkeeping: advance chunks; completed prefills start decoding.
-        for request, chunk in chunks:
-            request.prefilled += chunk.tokens
-            self._outstanding_tokens -= chunk.tokens
+        finished: List[Request] = []
+        for request in running:
+            generated = request.generated + k
+            request.generated = generated
+            if generated >= request.output_tokens:
+                finished.append(request)
+        if finished:
+            self._running = [r for r in running if r.generated < r.output_tokens]
+            for request in finished:
+                self._finish(request)
+
+        for request, state, _ in takes:
             if request.prefilled < request.prefill_target:
                 continue
             self._prefilling.remove(request)
-            if self._tracer is not None:
-                self._tracer.emit(
+            first_token = request.first_token_time_s is None
+            if tracer is not None:
+                tracer.emit(
                     "decode_start", self._clock, replica=self._trace_replica,
-                    request_id=request.request_id, first_token=chunk.produces_token,
+                    request_id=request.request_id, first_token=first_token,
                 )
             if self.prefix_cache is not None and request.prefix_segments:
                 # Publish the completed prefill's shareable prefix (full blocks only).
                 # This runs before any completion-time free, so even a request that
                 # finishes on its prefill pass (a disaggregated prefill replica's whole
                 # population) leaves its prefix behind for the next arrival.
-                self.prefix_cache.insert(
-                    request, self.kv_cache.sequence(request.request_id).blocks
-                )
-            if chunk.produces_token:
+                self.prefix_cache.insert(request, state.blocks)
+            if first_token:
                 request.first_token_time_s = self._clock
                 request.generated += 1
                 self._generated_tokens += 1
@@ -1047,9 +1127,7 @@ class ContinuousBatchingScheduler:
                 self._finish(request)
             else:
                 self._running.append(request)
-
-        self._peak_batch = max(self._peak_batch, decode_batch + len(chunks))
-        if self._tracer is not None:
+        if tracer is not None and not epoch:
             self._maybe_sample_counters()
 
     def _maybe_sample_counters(self) -> None:
@@ -1086,23 +1164,23 @@ class ContinuousBatchingScheduler:
         A queued request only becomes schedulable through more free KV blocks, a smaller
         resident set, or leftover token budget.  Inside an epoch the resident set and
         the iteration budget (``budget_left``: what admission would see after the
-        epoch's chunks) are frozen and free blocks only shrink — completions free
-        theirs only after the epoch's last iteration — so "blocked now" implies
-        "blocked for the whole epoch".  Per queue, mirroring :meth:`step`:
+        epoch's chunks, :meth:`_plan_chunks`) are frozen and free blocks only shrink —
+        completions free theirs only after the epoch's last iteration — so "blocked
+        now" implies "blocked for the whole epoch".  Per queue, mirroring :meth:`step`:
 
         * an imported sequence lands once its KV blocks fit;
-        * a swapped-out sequence is compared against a *floor* of the headroom
-          ``step()``'s swap-in scan reserves: one slot block per running sequence plus
-          ``t // block_tokens`` per resident prefill, where ``t`` is the chunk the epoch
-          schedules for it (``takes``), or ``min(remaining, prefill_chunk_tokens)`` for
-          one it does not schedule.  The scan reserves ``blocks_needed_to_extend(r, t')``
-          with ``t' = min(remaining, prefill_chunk_tokens)``.  The pool keeps every
-          sequence at exactly ``ceil(tokens / block_tokens)`` blocks, so growing by
-          ``t'`` tokens needs at least ``t' // block_tokens`` new ones.  An unscheduled
-          prefill's ``t'`` is frozen for the epoch; a scheduled one's never drops below
-          its take, because the epoch ends before its prompt-completing chunk.  So the
-          real headroom never drops below the floor, and a candidate blocked at the
-          floor stays blocked;
+        * a swapped-out sequence needs :meth:`_swap_in_blocks`, the need ``step()``'s
+          swap-in scan checks, beside a *floor* of the headroom that scan reserves:
+          one slot block per running sequence plus ``t // block_tokens`` per resident
+          prefill, where ``t`` is the chunk the epoch schedules for it (``takes``), or
+          ``min(remaining, prefill_chunk_tokens)`` for one it does not schedule.  The
+          scan reserves ``blocks_needed_to_extend(r, t')`` with ``t' = min(remaining,
+          prefill_chunk_tokens)``.  The pool keeps every sequence at exactly
+          ``ceil(tokens / block_tokens)`` blocks, so growing by ``t'`` tokens needs at
+          least ``t' // block_tokens`` new ones.  An unscheduled prefill's ``t'`` is
+          frozen for the epoch; a scheduled one's never drops below its take, because
+          the epoch ends before its prompt-completing chunk.  So the real headroom never
+          drops below the floor, and a candidate blocked at the floor stays blocked;
         * the top waiting request is admitted per :meth:`_admission_plan` — same cached
           match, same suffix chunk.  A blocked admission makes ``step()`` evict cached
           blocks, which changes the trie even when admission stays blocked, so it is
@@ -1131,10 +1209,7 @@ class ContinuousBatchingScheduler:
                                self.prefill_chunk_tokens)
                 headroom += take // block_tokens
             for request in self._swapped:
-                needed = kv.swapped_sequence(request.request_id).num_blocks
-                if request.decoding:
-                    needed += 1
-                if needed + headroom <= free:
+                if self._swap_in_blocks(request) + headroom <= free:
                     return False
         if self._waiting and budget_left > 0:
             _, take = self._admission_plan(self._waiting[0][2], budget_left)
@@ -1148,9 +1223,10 @@ class ContinuousBatchingScheduler:
 
         An epoch is a run of iterations whose batch composition is frozen: every running
         sequence decodes one token per iteration, and every resident prefill advances by
-        the same chunk — :meth:`step`'s budget walk, run once for the epoch's first
-        iteration (decode-only is the epoch with no chunks).  The epoch ends at the
-        first of:
+        the same chunk — the chunks :meth:`_plan_chunks` plans for the epoch's first
+        iteration, over the free blocks its decode slots leave (decode-only is the epoch
+        with no chunks).  One :meth:`_advance` call, the bookkeeping :meth:`step` runs
+        per iteration, accounts the whole epoch.  The epoch ends at the first of:
 
         * the iteration that emits the earliest finisher's last token (it runs inside
           the epoch, which retires the finished requests);
@@ -1160,11 +1236,15 @@ class ContinuousBatchingScheduler:
         * the driver's horizon ``stop_before`` (the next arrival / cluster event): only
           iterations *starting* strictly before it run, matching the stepwise drivers.
 
-        Queued work (waiting arrivals, un-landed imports, swapped-out sequences) does not
-        force stepwise execution as long as it is provably parked for the whole epoch
-        (:meth:`_queues_parked`).  An epoch that retires requests with nothing queued
-        is followed by the next epoch in the same call; with work queued, the freed
-        blocks may unpark it, so the next iteration goes back to :meth:`step`.
+        A chunk the planner starves stays starved for the whole epoch only if it cannot
+        fit even the epoch's starting free-block count (free blocks only shrink); a
+        chunk starved by allocation order alone is not provably stable, so the epoch is
+        declined.  Queued work (waiting arrivals, un-landed imports, swapped-out
+        sequences) does not force stepwise execution as long as it is provably parked
+        for the whole epoch (:meth:`_queues_parked`).  An epoch that retires requests
+        with nothing queued is followed by the next epoch in the same call; with work
+        queued, the freed blocks may unpark it, so the next iteration goes back to
+        :meth:`step`.
 
         Bit-identical to calling :meth:`step` the same number of times: one
         :meth:`~repro.serving.engine.ServingEngine.price_epoch` call prices the epoch's
@@ -1206,13 +1286,8 @@ class ContinuousBatchingScheduler:
                     finish = left
             free_blocks = kv.num_free_blocks
 
-            # ---- the pinned chunk schedule: step()'s budget walk with iteration 1's
-            # sequential block allocation simulated exactly.  Decode slots allocate
-            # first; each resident prefill then either schedules its chunk (and keeps
-            # succeeding, see the KV horizon) or is starved (skipped without consuming
-            # budget).  A starved chunk stays starved for the whole epoch only if it
-            # cannot fit even the epoch's starting free-block count — free blocks only
-            # shrink; a skip caused by allocation order alone is not provably stable.
+            # ---- the pinned chunk schedule: the planner over the blocks the decode
+            # slots leave.
             takes: List[Tuple[Request, SequenceState, int]] = []
             if self._prefilling:
                 avail = free_blocks
@@ -1222,25 +1297,9 @@ class ContinuousBatchingScheduler:
                         avail -= 1
                 if avail < 0:
                     break  # the decode slots alone exhaust the pool: step() preempts
-                for request in self._prefilling:
-                    if budget <= 0:
-                        break
-                    take = min(
-                        request.prefill_target - request.prefilled,
-                        self.prefill_chunk_tokens,
-                        budget,
-                    )
-                    state = sequences[request.request_id]
-                    needed = (
-                        state.num_tokens + take + block_tokens - 1
-                    ) // block_tokens - len(state.blocks)
-                    if needed > avail:
-                        if needed <= free_blocks:
-                            return advanced  # skipped by allocation order only
-                        continue  # stable-starved: skipped every iteration of the epoch
-                    avail -= needed
-                    takes.append((request, state, take))
-                    budget -= take
+                takes, budget, starved = self._plan_chunks(budget, avail)
+                if any(needed <= free_blocks for needed, _ in starved):
+                    break  # starved by allocation order only
                 if queued and not self._queues_parked(budget, takes):
                     break
 
@@ -1297,50 +1356,22 @@ class ContinuousBatchingScheduler:
                 k, self._clock, stop_before,
             )
 
-            # ---- apply: grow KV, advance the clock, move every progress counter by its
-            # k-iteration delta, retire finishers — the state k step() calls leave.
+            # ---- apply: grow KV and move the clock; the advance then leaves the state k
+            # step() calls leave.
             kv.grow_states(run_states, k)
             for _, state, take in takes:
                 kv.extend_state(state, k * take)
-            self._peak_util = max(self._peak_util, kv.utilization())
-            self._peak_host_util = max(self._peak_host_util, kv.host_utilization())
-            self._peak_batch = max(self._peak_batch, batch + len(takes))
+            self._peak_used_blocks = max(self._peak_used_blocks, kv.num_used_blocks)
             epoch_start = self._clock
             self._clock = new_clock
-            self._num_iterations += k
-            self._chunk_count += k * len(takes)
-            self._generated_tokens += k * batch
-            self._outstanding_tokens -= k * batch
-            for request, _, take in takes:
-                request.prefilled += k * take
-                self._outstanding_tokens -= k * take
             advanced += k
-            if self._tracer is not None:
-                # One synthesized span per epoch with its closed-form duration: the
-                # timeline shows the wall clock a stepwise run would, per epoch.
-                self._tracer.emit(
-                    "ff_mixed" if takes else "ff_decode", epoch_start,
-                    replica=self._trace_replica, end=new_clock, iterations=k,
-                    decode_batch=batch, chunks=len(takes),
-                )
-                self._maybe_sample_counters()
-            if k != finish:
+            self._advance(k, takes, epoch_start, epoch=True)
+            if k != finish or queued:
                 # Cut short of the earliest finisher (by a prompt-completing chunk, the
-                # KV horizon or the driver's horizon): nobody retires, and what cut the
-                # epoch is step()'s or the driver's to handle.
-                for request in running:
-                    request.generated += k
+                # KV horizon or the driver's horizon), what cut the epoch is step()'s or
+                # the driver's to handle; after a retirement with work queued, the freed
+                # blocks may unpark it.
                 break
-            still_running: List[Request] = []
-            for request in running:
-                request.generated += k
-                if request.finished:
-                    self._finish(request)
-                else:
-                    still_running.append(request)
-            self._running = still_running
-            if queued:
-                break  # the freed blocks may unpark queued work
         return advanced
 
     # ------------------------------------------------------------------ simulation
