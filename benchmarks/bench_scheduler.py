@@ -50,6 +50,10 @@ serving metrics (did a change silently alter the model?):
   the payload (``BENCH_trace[.fast].json``) and uploaded as a CI artifact;
 * ``tensor_parallel_llama2_70b`` — the TP acceptance scenario (OOM on one GPU, finite on 4).
 
+Every run that serves a generated trace is declared once, as a ``repro.core.RunSpec`` in
+``run_table`` (sized by ``SECTION_SIZES``); each section serves its specs through
+``repro.core.run`` and renders its ``workload`` dict from them (``workload_of``).
+
 The payload always matches ``SCHEMA`` below (validated before writing; the tier-1 suite
 re-validates the committed file), so the perf trajectory stays machine-comparable across PRs.
 
@@ -78,19 +82,28 @@ import json
 import os
 import pstats
 import time
+from dataclasses import replace
+from functools import partial
 
-from repro.core import simulate_cluster, simulate_serving
+from repro.core import RunSpec, WorkloadSpec, run
 from repro.reporting.schema import validate_payload as _validate_schema
 from repro.serving import (
+    ClusterSpec,
     ContinuousBatchingScheduler,
     ServingEngine,
     SloSpec,
     compute_slo_report,
+    request_metrics,
 )
 from repro.serving.systems import list_systems
 from repro.sweep import SINGLE_REPLICA, SweepGrid, cells_identical, run_sweep, write_sweep_json
 from repro.telemetry import Tracer, request_breakdowns, write_chrome_trace
-from repro.workloads.traces import LengthDistribution, agent_swarm_trace
+from repro.workloads.traces import (
+    SHAREGPT_OUTPUTS,
+    SHAREGPT_PROMPTS,
+    LengthDistribution,
+    agent_swarm_trace,
+)
 
 RESULT_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_scheduler.json")
 #: Fast mode writes here instead, so a CI/local --fast run can never overwrite the
@@ -115,49 +128,17 @@ TRACE_FAST_RESULT_PATH = os.path.join(
     os.path.dirname(__file__), os.pardir, "BENCH_trace.fast.json"
 )
 
-#: Shared A/B workload: a KV-constrained pool (device budget shrunk well below the 80 GB
-#: derived default) so the ShareGPT long tail forces preemption churn, plus a host swap pool.
+#: A KV-constrained pool (device budget shrunk well below the 80 GB derived default) so
+#: the ShareGPT long tail forces preemption churn, plus a host swap pool: the A/B runs and
+#: both sweep grids serve under it.
 AB_KV_BUDGET_BYTES = 2 * 2**30
 AB_HOST_KV_BUDGET_BYTES = 4 * 2**30
-#: 20 rps keeps the constrained pool churning without tipping into overload collapse —
-#: in sustained overload SJF trades tail TTFT for goodput, which is not the regime the
-#: p99-TTFT acceptance criterion targets.
-AB_ARRIVAL_RPS = 20.0
 AB_SLO = SloSpec(ttft_s=2.0, tpot_s=0.1)
-#: The preemption A/B runs on the FP16 system: its re-prefill pays full FP16 GEMM cost, so
-#: recompute-only loses clearly to swapping.  On the stock H800 host link the swap round
-#: trip beats re-prefill for every victim, here and on the W4A8 systems alike, so the hybrid
-#: swaps whenever the host pool has room; its recompute branch is exercised on a slow host
-#: link in tests/test_serving_policies.py.
-AB_PREEMPTION_SYSTEM = "trt-fp16"
-
-#: Cluster A/B workload: prefill-heavy ShareGPT shape (long prompts, short answers) at a
-#: rate that keeps four replicas busy.  In the co-located baseline every prefill chunk
-#: shares its iteration with resident decode batches (TTFT pays TPOT's bill); the
-#: disaggregated fleet runs prefill on dedicated replicas and pays an explicit per-request
-#: KV handoff over the interconnect instead.
-CLUSTER_AB_PROMPTS = LengthDistribution.lognormal(median=1024.0, sigma=0.9, maximum=4096)
-CLUSTER_AB_OUTPUTS = LengthDistribution.lognormal(median=64.0, sigma=0.8, maximum=512)
-CLUSTER_AB_ARRIVAL_RPS = 24.0
-CLUSTER_AB_TOTAL_REPLICAS = 4  # 4 co-located vs. 2 prefill + 2 decode
-
-#: Scale sections (identical in fast and full mode — fast-forward is the point):
-#: a 20k-request single-replica trace and a 16-replica cluster at a per-replica load
-#: matching the single-replica trace (10 rps each).
-SCALE_TRACE_REQUESTS = 20_000
-SCALE_TRACE_RPS = 20.0
-SCALE_CLUSTER_REQUESTS = 4_000
-SCALE_CLUSTER_REPLICAS = 16
-SCALE_CLUSTER_RPS = 160.0
-
-#: Mixed-phase acceptance workload: KV-constrained *and* prefill-heavy (long prompts,
-#: sizeable answers, hybrid preemption under a shrunk device pool), i.e. the regime where
-#: PR 4's decode-only fast-forward never fired and the simulator ran interpretively at
-#: ~43k it/s.  The harness runs it with fast-forward on and off; the acceptance flag
-#: demands >= 3x between the two.
-MIXED_PROMPTS = LengthDistribution.lognormal(median=1024.0, sigma=0.9, maximum=4096)
-MIXED_OUTPUTS = LengthDistribution.lognormal(median=200.0, sigma=0.8, maximum=1024)
-MIXED_ARRIVAL_RPS = 16.0
+#: Timed runs per spec of the sections that report the best of several (the others time
+#: one run per spec).  The simulation is deterministic (identical results every run), so
+#: run-to-run wall variance is host noise and the minimum is the cleanest estimate of
+#: what the simulator costs.
+BEST_OF = {"trace_simulation": 5, "mixed_phase": 3, "prefix_cache": 3}
 
 #: Prefix-cache A/B workload: an agent-swarm trace — every agent in a swarm prompts with
 #: the swarm's shared base context plus the shared transcript of all prior steps, so the
@@ -218,6 +199,133 @@ def _large_grid(num_requests: int) -> SweepGrid:
         slo_ttft_s=AB_SLO.ttft_s,
         slo_tpot_s=AB_SLO.tpot_s,
     )
+
+
+#: Requests per section by mode; ``prefix`` is the agent-swarm trace's swarms x agents x
+#: steps (the full trace is 4*6*5 = 120 requests).
+SECTION_SIZES = {
+    "fast": {"trace": 120, "ab": 100, "cluster": 60, "mixed": 150, "sweep": 40, "grid": 8,
+             "prefix": (2, 4, 3)},
+    "full": {"trace": 500, "ab": 300, "cluster": 200, "mixed": 300, "sweep": 150,
+             "grid": 12, "prefix": (4, 6, 5)},
+}
+
+
+def run_table(sizes: dict) -> dict:
+    """Every run that serves a generated trace, declared once and sized by one mode's
+    ``SECTION_SIZES``: section -> :class:`RunSpec`, or arm name -> spec for a section
+    that compares arms.  Each section serves its specs through ``run()`` and renders its
+    ``workload`` from them (:func:`workload_of`); the ``tracing`` section and the warm-up
+    reuse ``trace_simulation``, and tier-1's count tests read the table too."""
+    spec = partial(RunSpec, slo=AB_SLO)
+    kv_pressure = dict(kv_budget_bytes=AB_KV_BUDGET_BYTES,
+                       host_kv_budget_bytes=AB_HOST_KV_BUDGET_BYTES)
+    # 20 rps keeps the constrained pool churning without tipping into overload collapse:
+    # in sustained overload SJF trades tail TTFT for goodput, which is not the regime the
+    # p99-TTFT acceptance criterion targets.
+    ab_trace = WorkloadSpec(sizes["ab"], 20.0)
+    long_prompts = LengthDistribution.lognormal(median=1024.0, sigma=0.9, maximum=4096)
+    # KV-constrained *and* prefill-heavy (long prompts, sizeable answers, hybrid
+    # preemption under a shrunk device pool): the regime where decode-only fast-forward
+    # never fired and the simulator ran interpretively at ~43k it/s.  The acceptance
+    # flag demands >= 3x between fast-forward on and off.
+    mixed = spec(
+        workload=WorkloadSpec(
+            sizes["mixed"], 16.0, prompt_lengths=long_prompts,
+            output_lengths=LengthDistribution.lognormal(median=200.0, sigma=0.8, maximum=1024),
+        ),
+        scheduler_options=dict(kv_pressure, preemption_policy="hybrid"),
+    )
+    # Prefill-heavy (long prompts, short answers) at a rate that keeps four replicas busy.
+    # Co-located, every prefill chunk shares its iteration with resident decode batches
+    # (TTFT pays TPOT's bill); the disaggregated fleet runs prefill on dedicated replicas
+    # and pays an explicit per-request KV handoff over the interconnect instead.
+    cluster_trace = WorkloadSpec(
+        sizes["cluster"], 24.0, prompt_lengths=long_prompts,
+        output_lengths=LengthDistribution.lognormal(median=64.0, sigma=0.8, maximum=512),
+    )
+    return {
+        "trace_simulation": spec(workload=WorkloadSpec(sizes["trace"], 20.0)),
+        "mixed_phase": {
+            "fast": mixed,
+            "stepwise": replace(
+                mixed, scheduler_options=dict(mixed.scheduler_options, fast_forward=False)
+            ),
+        },
+        # On the FP16 system re-prefill pays full FP16 GEMM cost, so recompute-only loses
+        # clearly to swapping.  On the stock H800 host link the swap round trip beats
+        # re-prefill for every victim, here and on the W4A8 systems alike, so the hybrid
+        # swaps whenever the host pool has room; its recompute branch is exercised on a
+        # slow host link in tests/test_serving_policies.py.
+        "preemption_ab": {
+            policy: spec("trt-fp16", workload=ab_trace,
+                         scheduler_options=dict(kv_pressure, preemption_policy=policy))
+            for policy in ("recompute", "swap", "hybrid")
+        },
+        "scheduling_ab": {
+            policy: spec(workload=replace(ab_trace, num_priority_levels=4),
+                         scheduler_options=dict(kv_pressure, scheduling_policy=policy,
+                                                preemption_policy="hybrid"))
+            for policy in ("fcfs", "priority", "sjf", "fairness")
+        },
+        # Equal total GPU count: four co-located replicas behind the least-tokens router
+        # (the strongest co-located baseline, not a strawman) vs. 2 prefill + 2 decode.
+        "cluster_ab": {
+            "colocated": spec(cluster=ClusterSpec(num_replicas=4, router="least-tokens"),
+                              workload=cluster_trace),
+            "disaggregated": spec(
+                cluster=ClusterSpec("disaggregated", num_prefill_replicas=2,
+                                    num_decode_replicas=2),
+                workload=cluster_trace,
+            ),
+        },
+        # The fast-forward stress runs, the same size in both modes (analytic fast-forward
+        # is what makes them CI-viable): 20,000 requests through one replica, and 4,000
+        # through 16 co-located replicas at 10 rps each behind the least-tokens router,
+        # which polls every replica's load per dispatch (the O(1) load counter's worst
+        # customer).
+        "scale": {
+            "trace": spec(workload=WorkloadSpec(20_000, 20.0)),
+            "cluster": spec(cluster=ClusterSpec(num_replicas=16, router="least-tokens"),
+                            workload=WorkloadSpec(4_000, 160.0)),
+        },
+    }
+
+
+def workload_of(spec) -> dict:
+    """A section's ``workload`` dict, rendered from its :class:`RunSpec`; for an A/B
+    (arm name -> spec), the fields every arm renders alike."""
+    if not isinstance(spec, RunSpec):
+        arms = [workload_of(arm) for arm in spec.values()]
+        return {key: value for key, value in arms[0].items()
+                if all(key in arm and arm[key] == value for arm in arms)}
+    workload, cluster = spec.workload, spec.cluster
+    prompts = workload.prompt_lengths or SHAREGPT_PROMPTS
+    outputs = workload.output_lengths or SHAREGPT_OUTPUTS
+    fields = {
+        "system": spec.system,
+        "model": spec.model,
+        "device": spec.device,
+        "num_requests": workload.num_requests,
+        "arrival": f"poisson-{workload.arrival_rate_rps:g}rps",
+        "lengths": f"{prompts.kind} (prompts ~{prompts.median:g}, outputs ~{outputs.median:g})",
+        "seed": workload.seed,
+    }
+    if workload.num_priority_levels > 1:
+        fields["num_priority_levels"] = workload.num_priority_levels
+    for name, value in spec.scheduler_options.items():
+        if name.endswith("_bytes"):  # a KV budget, reported in MiB
+            fields[name[: -len("bytes")] + "mb"] = value // 2**20
+        else:
+            fields[name] = value
+    if cluster is not None:
+        fields.update(mode=cluster.mode, total_replicas=cluster.total_replicas,
+                      router=cluster.router or cluster.default_router)
+        if cluster.mode == "colocated":
+            fields["num_replicas"] = cluster.total_replicas
+    fields["slo"] = {"ttft_s": spec.slo.ttft_s, "tpot_s": spec.slo.tpot_s}
+    return fields
+
 
 #: Documented result schema. Leaf values are the required types (``int`` also satisfies a
 #: ``float`` leaf); nested dicts are required sub-objects; ``dict`` leaves are free-form.
@@ -400,8 +508,9 @@ def difference_lines(rows) -> str:
     return "\n".join(f"  {path}: {value_a} -> {value_b}" for path, value_a, value_b in rows)
 
 
-def _simulated_summary(sim) -> dict:
-    stats, report = sim.stats, sim.slo
+def _simulated_summary(result, report) -> dict:
+    """A single-replica run's summary: its scheduler stats and its SLO ``report``."""
+    stats = result.replica_stats[0]
     return {
         "completed_requests": stats.completed_requests,
         "generated_tokens": stats.generated_tokens,
@@ -420,126 +529,77 @@ def _simulated_summary(sim) -> dict:
     }
 
 
-def _warm_up() -> None:
-    """One tiny throwaway simulation before any timed section.
+def _harness(iterations: int, wall_s: float, digits: int = 3) -> dict:
+    return {
+        "wall_time_s": round(wall_s, digits),
+        "iterations_per_s": round(iterations / wall_s, 1),
+    }
+
+
+def timed(serve, repeats: int = 1):
+    """``(result, best wall)`` of ``repeats`` timed calls of ``serve()``."""
+    wall = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = serve()
+        wall = min(wall, time.perf_counter() - start)
+    return result, wall
+
+
+def _warm_up(spec: RunSpec) -> None:
+    """One tiny throwaway run of ``spec``'s workload before any timed section.
 
     First use pays one-time costs that are not the scheduler's (NumPy RNG and ufunc
     initialization, kernel cost-model setup); ``harness.iterations_per_s`` is meant to
     track the simulator hot loop, so those are paid here, outside every timer.
     """
-    simulate_serving("liquidserve", "llama2-7b", num_requests=4, arrival_rate_rps=20.0,
-                     seed=0)
+    run(replace(spec, workload=replace(spec.workload, num_requests=4)))
 
 
-def bench_trace_simulation(num_requests: int, profile: bool = False):
-    """Returns the payload section plus the simulation (for ``--dump-requests``).
-
-    ``harness.wall_time_s`` is the best of five runs: the simulation is deterministic
-    (identical stats every run), so run-to-run wall variance is host noise and the
-    minimum is the cleanest estimate of what the simulator costs.
-    """
+def bench_trace_simulation(spec: RunSpec, repeats: int = 1, profile: bool = False):
+    """Returns the payload section plus the run (for ``--dump-requests``)."""
     profiler = cProfile.Profile() if profile else None
     if profiler is not None:
         profiler.enable()
-    wall_s = float("inf")
-    for _ in range(5):
-        start = time.perf_counter()
-        sim = simulate_serving(
-            "liquidserve",
-            "llama2-7b",
-            num_requests=num_requests,
-            arrival_rate_rps=20.0,
-            seed=0,
-            slo=AB_SLO,
-        )
-        wall_s = min(wall_s, time.perf_counter() - start)
+    result, wall_s = timed(lambda: run(spec), repeats)
     if profiler is not None:
         profiler.disable()
         print("== trace_simulation profile (top 25 by cumulative time) ==")
         pstats.Stats(profiler).sort_stats("cumulative").print_stats(25)
-    return sim, {
-        "workload": {
-            "system": sim.system,
-            "model": sim.model,
-            "device": "H800",
-            "num_requests": sim.num_requests,
-            "arrival": "poisson-20rps",
-            "lengths": "sharegpt-lognormal",
-            "slo": {"ttft_s": AB_SLO.ttft_s, "tpot_s": AB_SLO.tpot_s},
-        },
-        "harness": {
-            "wall_time_s": round(wall_s, 3),
-            "iterations_per_s": round(sim.stats.num_iterations / wall_s, 1),
-        },
-        "simulated": _simulated_summary(sim),
+    return result, {
+        "workload": workload_of(spec),
+        "harness": _harness(result.replica_stats[0].num_iterations, wall_s),
+        "simulated": _simulated_summary(result, result.slo_report(spec.slo)),
     }
 
 
-def mixed_phase_kwargs(num_requests: int) -> dict:
-    """``simulate_serving`` keyword arguments of the ``mixed_phase`` workload on
-    liquidserve/llama2-7b (tier-1 counts its ``step()`` calls at the ``--fast`` size)."""
-    return dict(
-        num_requests=num_requests,
-        arrival_rate_rps=MIXED_ARRIVAL_RPS,
-        seed=0,
-        prompt_lengths=MIXED_PROMPTS,
-        output_lengths=MIXED_OUTPUTS,
-        kv_budget_bytes=AB_KV_BUDGET_BYTES,
-        host_kv_budget_bytes=AB_HOST_KV_BUDGET_BYTES,
-        preemption_policy="hybrid",
-        slo=AB_SLO,
-    )
-
-
-def bench_mixed_phase(num_requests: int) -> dict:
+def bench_mixed_phase(specs: dict, repeats: int = 1) -> dict:
     """The mixed-phase fast-forward acceptance section: fast vs. interpretive execution.
 
-    Both measurements are best-of-three on the identical (seeded) workload; the simulated
-    numbers are asserted byte-identical between the two modes before anything is reported
-    — a wall-clock win that changed results would be a bug, not a speedup.
+    The simulated numbers are asserted identical between the two modes before anything
+    is reported — a wall-clock win that changed results would be a bug, not a speedup.
     """
-    kwargs = mixed_phase_kwargs(num_requests)
-
-    def best_of(n, **extra):
-        wall, sim = float("inf"), None
-        for _ in range(n):
-            start = time.perf_counter()
-            sim = simulate_serving("liquidserve", "llama2-7b", **kwargs, **extra)
-            wall = min(wall, time.perf_counter() - start)
-        return sim, wall
-
-    fast, fast_wall = best_of(3)
-    stepwise, stepwise_wall = best_of(3, fast_forward=False)
+    fast, fast_wall = timed(lambda: run(specs["fast"]), repeats)
+    stepwise, stepwise_wall = timed(lambda: run(specs["stepwise"]), repeats)
+    slo = specs["fast"].slo
+    report = fast.slo_report(slo)
+    iterations = fast.replica_stats[0].num_iterations
     if (
-        fast.stats.simulated_time_s != stepwise.stats.simulated_time_s
-        or fast.stats.num_iterations != stepwise.stats.num_iterations
-        or fast.slo != stepwise.slo
+        fast.simulated_time_s != stepwise.simulated_time_s
+        or iterations != stepwise.replica_stats[0].num_iterations
+        or report != stepwise.slo_report(slo)
     ):  # pragma: no cover - pinned by the equivalence test suite
         raise SystemExit("mixed_phase: fast-forward diverged from stepwise execution")
-    iterations = fast.stats.num_iterations
     speedup = stepwise_wall / fast_wall
     return {
-        "workload": {
-            "system": fast.system,
-            "model": fast.model,
-            "device": "H800",
-            "num_requests": num_requests,
-            "arrival": f"poisson-{MIXED_ARRIVAL_RPS:g}rps",
-            "lengths": "kv-constrained prefill-heavy (prompts ~1024, outputs ~200)",
-            "seed": 0,
-            "kv_budget_mb": AB_KV_BUDGET_BYTES // 2**20,
-            "host_kv_budget_mb": AB_HOST_KV_BUDGET_BYTES // 2**20,
-            "preemption_policy": "hybrid",
-            "slo": {"ttft_s": AB_SLO.ttft_s, "tpot_s": AB_SLO.tpot_s},
-        },
-        "harness": {
-            "wall_time_s": round(fast_wall, 4),
-            "iterations_per_s": round(iterations / fast_wall, 1),
-            "stepwise_wall_time_s": round(stepwise_wall, 4),
-            "stepwise_iterations_per_s": round(iterations / stepwise_wall, 1),
-            "speedup_vs_stepwise": round(speedup, 2),
-        },
-        "simulated": _simulated_summary(fast),
+        "workload": workload_of(specs),
+        "harness": dict(
+            _harness(iterations, fast_wall, digits=4),
+            stepwise_wall_time_s=round(stepwise_wall, 4),
+            stepwise_iterations_per_s=round(iterations / stepwise_wall, 1),
+            speedup_vs_stepwise=round(speedup, 2),
+        ),
+        "simulated": _simulated_summary(fast, report),
         # The flag compares raw walls: payload rounding must not flip a CI verdict.
         "speedup_ge_3x": stepwise_wall >= 3.0 * fast_wall,
     }
@@ -614,94 +674,55 @@ def bench_sweep_grid(num_requests: int) -> dict:
     }
 
 
-def _ab_workload(num_requests: int) -> dict:
-    return {
-        "system": "liquidserve",
-        "model": "llama2-7b",
-        "device": "H800",
-        "num_requests": num_requests,
-        "arrival": f"poisson-{AB_ARRIVAL_RPS:g}rps",
-        "lengths": "sharegpt-lognormal",
-        "seed": 0,
-        "kv_budget_mb": AB_KV_BUDGET_BYTES // 2**20,
-        "host_kv_budget_mb": AB_HOST_KV_BUDGET_BYTES // 2**20,
-        "slo": {"ttft_s": AB_SLO.ttft_s, "tpot_s": AB_SLO.tpot_s},
-    }
+def _serve_arms(specs: dict, summarize):
+    """``(rows, reports)``: each arm's spec served once through ``run()``, its row
+    ``summarize(result, report)`` plus its wall, and its raw SLO report."""
+    rows, reports = {}, {}
+    for arm, spec in specs.items():
+        result, wall_s = timed(lambda: run(spec))
+        reports[arm] = result.slo_report(spec.slo)
+        rows[arm] = dict(summarize(result, reports[arm]), wall_time_s=round(wall_s, 3))
+    return rows, reports
 
 
-def bench_preemption_ab(num_requests: int) -> dict:
+def _preemption_summary(result, report) -> dict:
+    stats = result.replica_stats[0]
+    return dict(
+        _simulated_summary(result, report),
+        swap_preemptions=stats.swap_preemptions,
+        recompute_preemptions=stats.recompute_preemptions,
+        swap_ins=stats.swap_ins,
+        kv_transfer_s=round(stats.kv_transfer_s, 4),
+        peak_host_kv_utilization=round(stats.peak_host_kv_utilization, 4),
+    )
+
+
+def bench_preemption_ab(specs: dict) -> dict:
     """Recompute vs. swap vs. cost-based hybrid on the same KV-constrained trace."""
-    policies = {}
-    raw_goodput = {}
-    for policy in ("recompute", "swap", "hybrid"):
-        start = time.perf_counter()
-        sim = simulate_serving(
-            AB_PREEMPTION_SYSTEM,
-            "llama2-7b",
-            num_requests=num_requests,
-            arrival_rate_rps=AB_ARRIVAL_RPS,
-            seed=0,
-            kv_budget_bytes=AB_KV_BUDGET_BYTES,
-            host_kv_budget_bytes=AB_HOST_KV_BUDGET_BYTES,
-            preemption_policy=policy,
-            slo=AB_SLO,
-        )
-        wall_s = time.perf_counter() - start
-        stats = sim.stats
-        raw_goodput[policy] = sim.slo.goodput_rps
-        policies[policy] = dict(
-            _simulated_summary(sim),
-            swap_preemptions=stats.swap_preemptions,
-            recompute_preemptions=stats.recompute_preemptions,
-            swap_ins=stats.swap_ins,
-            kv_transfer_s=round(stats.kv_transfer_s, 4),
-            peak_host_kv_utilization=round(stats.peak_host_kv_utilization, 4),
-            wall_time_s=round(wall_s, 3),
-        )
+    policies, reports = _serve_arms(specs, _preemption_summary)
     return {
-        "workload": dict(_ab_workload(num_requests), system=AB_PREEMPTION_SYSTEM),
+        "workload": workload_of(specs),
         "policies": policies,
         # Flags compare the raw simulator values: rounding for the payload must not be
         # able to flip a CI-gating verdict either way.
-        "hybrid_goodput_ge_recompute": raw_goodput["hybrid"] >= raw_goodput["recompute"],
+        "hybrid_goodput_ge_recompute":
+            reports["hybrid"].goodput_rps >= reports["recompute"].goodput_rps,
     }
 
 
-def bench_scheduling_ab(num_requests: int) -> dict:
+def bench_scheduling_ab(specs: dict) -> dict:
     """FCFS vs. priority vs. SJF vs. max-min fairness on the same constrained trace."""
-    policies = {}
-    raw_p99_ttft = {}
-    for policy in ("fcfs", "priority", "sjf", "fairness"):
-        start = time.perf_counter()
-        sim = simulate_serving(
-            "liquidserve",
-            "llama2-7b",
-            num_requests=num_requests,
-            arrival_rate_rps=AB_ARRIVAL_RPS,
-            seed=0,
-            kv_budget_bytes=AB_KV_BUDGET_BYTES,
-            host_kv_budget_bytes=AB_HOST_KV_BUDGET_BYTES,
-            scheduling_policy=policy,
-            preemption_policy="hybrid",
-            num_priority_levels=4,
-            slo=AB_SLO,
-        )
-        wall_s = time.perf_counter() - start
-        raw_p99_ttft[policy] = sim.slo.p99_ttft_s
-        policies[policy] = dict(
-            _simulated_summary(sim), wall_time_s=round(wall_s, 3)
-        )
+    policies, reports = _serve_arms(specs, _simulated_summary)
     return {
-        "workload": dict(_ab_workload(num_requests), num_priority_levels=4),
+        "workload": workload_of(specs),
         "policies": policies,
-        "sjf_p99_ttft_improves": raw_p99_ttft["sjf"] < raw_p99_ttft["fcfs"],
+        "sjf_p99_ttft_improves": reports["sjf"].p99_ttft_s < reports["fcfs"].p99_ttft_s,
     }
 
 
-def _cluster_summary(sim, wall_s: float) -> dict:
-    result, report = sim.result, sim.slo
+def _cluster_summary(result, report) -> dict:
     return {
-        "router": sim.router,
+        "router": result.router,
         "replica_roles": ",".join(result.replica_roles),
         "completed_requests": result.completed_requests,
         "generated_tokens": result.generated_tokens,
@@ -716,66 +737,26 @@ def _cluster_summary(sim, wall_s: float) -> dict:
         "kv_handoffs": result.kv_handoffs,
         "kv_handoff_gb": round(result.kv_handoff_bytes / 2**30, 3),
         "kv_handoff_s": round(result.kv_handoff_s, 4),
-        "wall_time_s": round(wall_s, 3),
     }
 
 
-def bench_cluster_ab(num_requests: int) -> dict:
+def bench_cluster_ab(specs: dict) -> dict:
     """Co-located vs. disaggregated prefill/decode at equal total GPU count."""
-    kwargs = dict(
-        num_requests=num_requests,
-        arrival_rate_rps=CLUSTER_AB_ARRIVAL_RPS,
-        seed=0,
-        prompt_lengths=CLUSTER_AB_PROMPTS,
-        output_lengths=CLUSTER_AB_OUTPUTS,
-        slo=AB_SLO,
-    )
-    configs = {}
-    raw_p99_ttft = {}
-    start = time.perf_counter()
-    colocated = simulate_cluster(
-        "liquidserve", "llama2-7b",
-        mode="colocated",
-        num_replicas=CLUSTER_AB_TOTAL_REPLICAS,
-        router="least-tokens",  # the strongest co-located baseline, not a strawman
-        **kwargs,
-    )
-    configs["colocated"] = _cluster_summary(colocated, time.perf_counter() - start)
-    raw_p99_ttft["colocated"] = colocated.slo.p99_ttft_s
-    start = time.perf_counter()
-    disaggregated = simulate_cluster(
-        "liquidserve", "llama2-7b",
-        mode="disaggregated",
-        num_prefill_replicas=CLUSTER_AB_TOTAL_REPLICAS // 2,
-        num_decode_replicas=CLUSTER_AB_TOTAL_REPLICAS // 2,
-        **kwargs,
-    )
-    configs["disaggregated"] = _cluster_summary(disaggregated, time.perf_counter() - start)
-    raw_p99_ttft["disaggregated"] = disaggregated.slo.p99_ttft_s
+    configs, reports = _serve_arms(specs, _cluster_summary)
     return {
-        "workload": {
-            "system": "liquidserve",
-            "model": "llama2-7b",
-            "device": "H800",
-            "num_requests": num_requests,
-            "arrival": f"poisson-{CLUSTER_AB_ARRIVAL_RPS:g}rps",
-            "lengths": "prefill-heavy-lognormal (prompts ~1024, outputs ~64)",
-            "seed": 0,
-            "total_replicas": CLUSTER_AB_TOTAL_REPLICAS,
-            "slo": {"ttft_s": AB_SLO.ttft_s, "tpot_s": AB_SLO.tpot_s},
-        },
+        "workload": workload_of(specs),
         "configs": configs,
         "disagg_p99_ttft_improves":
-            raw_p99_ttft["disaggregated"] < raw_p99_ttft["colocated"],
+            reports["disaggregated"].p99_ttft_s < reports["colocated"].p99_ttft_s,
     }
 
 
-def bench_prefix_cache(num_swarms: int, agents_per_swarm: int,
-                       steps_per_swarm: int) -> dict:
+def bench_prefix_cache(num_swarms: int, agents_per_swarm: int, steps_per_swarm: int,
+                       repeats: int = 1) -> dict:
     """Radix prefix-cache A/B: one agent-swarm trace with fork-on-admit on and off.
 
-    Both runs are best-of-three on the identical trace (requests copied per run — the
-    scheduler mutates them).  The cache must not change *what* is served, only when:
+    Each side is timed best of ``repeats`` runs of the identical trace (requests copied
+    per run — the scheduler mutates them).  The cache must not change *what* is served, only when:
     completed requests and generated tokens are asserted identical before anything is
     reported.  The acceptance flag compares the raw p99 TTFTs, so payload rounding
     cannot flip the CI verdict.
@@ -784,9 +765,9 @@ def bench_prefix_cache(num_swarms: int, agents_per_swarm: int,
         num_swarms, agents_per_swarm, steps_per_swarm, PREFIX_AB_ARRIVAL_RPS, seed=0,
     )
 
-    def best_of(prefix_caching):
+    def serve(prefix_caching):
         wall, stats = float("inf"), None
-        for _ in range(3):
+        for _ in range(repeats):
             scheduler = ContinuousBatchingScheduler(
                 ServingEngine("liquidserve", "llama2-7b"),
                 prefix_caching=prefix_caching,
@@ -798,8 +779,8 @@ def bench_prefix_cache(num_swarms: int, agents_per_swarm: int,
         report = compute_slo_report(stats.requests, AB_SLO, stats.simulated_time_s)
         return stats, report, wall
 
-    on_stats, on_report, on_wall = best_of(True)
-    off_stats, off_report, off_wall = best_of(False)
+    on_stats, on_report, on_wall = serve(True)
+    off_stats, off_report, off_wall = serve(False)
     if (
         on_stats.completed_requests != off_stats.completed_requests
         or on_stats.generated_tokens != off_stats.generated_tokens
@@ -837,10 +818,7 @@ def bench_prefix_cache(num_swarms: int, agents_per_swarm: int,
             "seed": 0,
             "slo": {"ttft_s": AB_SLO.ttft_s, "tpot_s": AB_SLO.tpot_s},
         },
-        "harness": {
-            "wall_time_s": round(on_wall, 4),
-            "iterations_per_s": round(on_stats.num_iterations / on_wall, 1),
-        },
+        "harness": _harness(on_stats.num_iterations, on_wall, digits=4),
         "configs": {
             "cache_on": summarize(on_stats, on_report, on_wall),
             "cache_off": summarize(off_stats, off_report, off_wall),
@@ -851,105 +829,62 @@ def bench_prefix_cache(num_swarms: int, agents_per_swarm: int,
     }
 
 
-def bench_scale() -> dict:
+def bench_scale(specs: dict) -> dict:
     """Fast-forward stress sections: the workloads stepwise execution cannot serve in CI.
 
     Sizes are identical in fast and full mode — the entire point of the analytic
     fast-forward layer is that a 20k-request trace and a 16-replica fleet finish in
     seconds, so the committed and CI numbers exercise the same workload.
     """
-    start = time.perf_counter()
-    sim = simulate_serving(
-        "liquidserve",
-        "llama2-7b",
-        num_requests=SCALE_TRACE_REQUESTS,
-        arrival_rate_rps=SCALE_TRACE_RPS,
-        seed=0,
-        slo=AB_SLO,
-    )
-    trace_wall_s = time.perf_counter() - start
-    trace_section = {
-        "workload": {
-            "system": sim.system,
-            "model": sim.model,
-            "device": "H800",
-            "num_requests": sim.num_requests,
-            "arrival": f"poisson-{SCALE_TRACE_RPS:g}rps",
-            "lengths": "sharegpt-lognormal",
-            "seed": 0,
+    trace_spec, cluster_spec = specs["trace"], specs["cluster"]
+    trace, trace_wall_s = timed(lambda: run(trace_spec))
+    cluster, cluster_wall_s = timed(lambda: run(cluster_spec))
+    cluster_iterations = sum(stats.num_iterations for stats in cluster.replica_stats)
+    report = cluster.slo_report(cluster_spec.slo)
+    return {
+        "trace": {
+            "workload": workload_of(trace_spec),
+            "harness": _harness(trace.replica_stats[0].num_iterations, trace_wall_s),
+            "simulated": _simulated_summary(trace, trace.slo_report(trace_spec.slo)),
         },
-        "harness": {
-            "wall_time_s": round(trace_wall_s, 3),
-            "iterations_per_s": round(sim.stats.num_iterations / trace_wall_s, 1),
-        },
-        "simulated": _simulated_summary(sim),
-    }
-
-    start = time.perf_counter()
-    cluster = simulate_cluster(
-        "liquidserve",
-        "llama2-7b",
-        mode="colocated",
-        num_replicas=SCALE_CLUSTER_REPLICAS,
-        router="least-tokens",  # polls every replica's load per dispatch: O(1) or bust
-        num_requests=SCALE_CLUSTER_REQUESTS,
-        arrival_rate_rps=SCALE_CLUSTER_RPS,
-        seed=0,
-        slo=AB_SLO,
-    )
-    cluster_wall_s = time.perf_counter() - start
-    cluster_iterations = sum(s.num_iterations for s in cluster.replica_stats)
-    cluster_section = {
-        "workload": {
-            "system": cluster.system,
-            "model": cluster.model,
-            "device": "H800",
-            "num_requests": SCALE_CLUSTER_REQUESTS,
-            "arrival": f"poisson-{SCALE_CLUSTER_RPS:g}rps",
-            "lengths": "sharegpt-lognormal",
-            "seed": 0,
-            "num_replicas": SCALE_CLUSTER_REPLICAS,
-            "router": cluster.router,
-        },
-        "harness": {
-            "wall_time_s": round(cluster_wall_s, 3),
-            "iterations_per_s": round(cluster_iterations / cluster_wall_s, 1),
-        },
-        "summary": {
-            "completed_requests": cluster.result.completed_requests,
-            "generated_tokens": cluster.result.generated_tokens,
-            "throughput_tokens_per_s": round(cluster.throughput_tokens_per_s, 1),
-            "iterations": cluster_iterations,
-            "p50_ttft_s": round(cluster.slo.p50_ttft_s, 4),
-            "p99_ttft_s": round(cluster.slo.p99_ttft_s, 4),
-            "p99_tpot_s": round(cluster.slo.p99_tpot_s, 5),
-            "slo_attainment": round(cluster.slo.attainment, 4),
-            "goodput_rps": round(cluster.slo.goodput_rps, 2),
+        "cluster": {
+            "workload": workload_of(cluster_spec),
+            "harness": _harness(cluster_iterations, cluster_wall_s),
+            "summary": {
+                "completed_requests": cluster.completed_requests,
+                "generated_tokens": cluster.generated_tokens,
+                "throughput_tokens_per_s": round(cluster.throughput_tokens_per_s, 1),
+                "iterations": cluster_iterations,
+                "p50_ttft_s": round(report.p50_ttft_s, 4),
+                "p99_ttft_s": round(report.p99_ttft_s, 4),
+                "p99_tpot_s": round(report.p99_tpot_s, 5),
+                "slo_attainment": round(report.attainment, 4),
+                "goodput_rps": round(report.goodput_rps, 2),
+            },
         },
     }
-    return {"trace": trace_section, "cluster": cluster_section}
 
 
-def dump_requests_csv(sim, path: str) -> None:
-    """Write the per-request latency decomposition of one simulation as CSV."""
+def dump_requests_csv(result, path: str) -> None:
+    """Write the per-request latency decomposition of one run as CSV."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([
             "request_id", "output_tokens", "ttft_s", "tpot_s", "latency_s",
             "queue_time_s", "preemptions",
         ])
-        for m in sim.per_request:
+        for m in request_metrics(result.requests):
             writer.writerow([
                 m.request_id, m.output_tokens, f"{m.ttft_s:.6f}", f"{m.tpot_s:.6f}",
                 f"{m.latency_s:.6f}", f"{m.queue_time_s:.6f}", m.preemptions,
             ])
 
 
-def bench_tracing(num_requests: int, fast_mode: bool) -> dict:
-    """Telemetry overhead and correctness on the ``trace_simulation`` workload.
+def bench_tracing(spec: RunSpec, fast_mode: bool) -> dict:
+    """Telemetry overhead and correctness on the ``trace_simulation`` spec.
 
     ``off_vs_baseline_ratio`` isolates what the null-tracer hooks cost: the
-    ``trace_simulation`` call (the baseline) and the same call with ``tracer=None``
+    ``trace_simulation`` run (the baseline) and the same run with ``tracer=None``
     passed explicitly are timed interleaved, in rounds of one run each (the order
     alternating from round to round) until each side has run for
     ``TRACING_SECONDS_PER_SIDE``, and the ratio divides the best baseline wall by the
@@ -960,46 +895,40 @@ def bench_tracing(num_requests: int, fast_mode: bool) -> dict:
     every request's phase breakdown tiling its end-to-end latency exactly.  The traced
     timeline is written as a Chrome/Perfetto JSON artifact next to the payload.
     """
-    kwargs = dict(
-        num_requests=num_requests, arrival_rate_rps=20.0, seed=0, slo=AB_SLO,
-    )
     runs = {
-        "baseline": lambda: simulate_serving("liquidserve", "llama2-7b", **kwargs),
-        "off": lambda: simulate_serving("liquidserve", "llama2-7b", tracer=None, **kwargs),
+        "baseline": lambda: run(spec),
+        "off": lambda: run(spec, tracer=None),
     }
     walls = {side: float("inf") for side in runs}
     spent = {side: 0.0 for side in runs}
-    off_sim = None
+    off = None
     rounds = 0
     while min(spent.values()) < TRACING_SECONDS_PER_SIDE:
         for side in ("baseline", "off") if rounds % 2 == 0 else ("off", "baseline"):
             gc.collect()  # each run starts from a heap without the last run's garbage
-            start = time.perf_counter()
-            sim = runs[side]()
-            wall = time.perf_counter() - start
+            result, wall = timed(runs[side])
             walls[side] = min(walls[side], wall)
             spent[side] += wall
             if side == "off":
-                off_sim = sim
+                off = result
         rounds += 1
     off_wall = walls["off"]
 
     tracer = Tracer(label="bench_trace_simulation")
-    start = time.perf_counter()
-    on_sim = simulate_serving("liquidserve", "llama2-7b", tracer=tracer, **kwargs)
-    on_wall = time.perf_counter() - start
+    on, on_wall = timed(lambda: run(spec, tracer=tracer))
 
+    on_stats, off_stats = on.replica_stats[0], off.replica_stats[0]
+    per_request = request_metrics(on.requests)
     bit_identical = (
-        on_sim.per_request == off_sim.per_request
-        and on_sim.stats.num_iterations == off_sim.stats.num_iterations
-        and on_sim.stats.generated_tokens == off_sim.stats.generated_tokens
-        and on_sim.stats.throughput_tokens_per_s
-        == off_sim.stats.throughput_tokens_per_s
+        per_request == request_metrics(off.requests)
+        and on_stats.num_iterations == off_stats.num_iterations
+        and on_stats.generated_tokens == off_stats.generated_tokens
+        and on_stats.throughput_tokens_per_s == off_stats.throughput_tokens_per_s
     )
     if not bit_identical:  # pragma: no cover - pinned by the tier-1 suite
         raise SystemExit("tracing: tracer-on run diverged from tracer-off run")
     breakdowns = request_breakdowns(tracer)
-    breakdowns_exact = len(breakdowns) == len(on_sim.per_request) and all(
+    breakdowns_exact = len(breakdowns) == len(per_request) and all(
         bd.is_exact for bd in breakdowns
     )
     artifact = os.path.abspath(
@@ -1007,24 +936,14 @@ def bench_tracing(num_requests: int, fast_mode: bool) -> dict:
     )
     write_chrome_trace(tracer, artifact, breakdowns)
     return {
-        "workload": {
-            "system": on_sim.system,
-            "model": on_sim.model,
-            "device": "H800",
-            "num_requests": num_requests,
-            "arrival": "poisson-20rps",
-            "lengths": "sharegpt-lognormal",
-            "seed": 0,
-            "slo": {"ttft_s": AB_SLO.ttft_s, "tpot_s": AB_SLO.tpot_s},
-        },
-        "harness": {
-            "wall_time_s": round(off_wall, 4),
-            "iterations_per_s": round(off_sim.stats.num_iterations / off_wall, 1),
-            "traced_wall_time_s": round(on_wall, 4),
-            # >= 1.0 means the tracer-off path matched (or beat) the baseline call it
+        "workload": workload_of(spec),
+        "harness": dict(
+            _harness(off_stats.num_iterations, off_wall, digits=4),
+            traced_wall_time_s=round(on_wall, 4),
+            # >= 1.0 means the tracer-off path matched (or beat) the baseline run it
             # was timed against; the gate floors the ratio.
-            "off_vs_baseline_ratio": round(walls["baseline"] / off_wall, 3),
-        },
+            off_vs_baseline_ratio=round(walls["baseline"] / off_wall, 3),
+        ),
         "events": tracer.num_events,
         "counter_samples": len(tracer.counters),
         "bit_identical": bit_identical,
@@ -1053,28 +972,23 @@ def bench_tensor_parallel() -> dict:
     }
 
 
-#: Requests per section by mode; ``prefix`` is the agent-swarm trace's swarms x agents x
-#: steps (the full trace is 4*6*5 = 120 requests).
-SECTION_SIZES = {
-    "fast": {"trace": 120, "ab": 100, "cluster": 60, "mixed": 150, "sweep": 40, "grid": 8,
-             "prefix": (2, 4, 3)},
-    "full": {"trace": 500, "ab": 300, "cluster": 200, "mixed": 300, "sweep": 150,
-             "grid": 12, "prefix": (4, 6, 5)},
-}
-
-
-def scheduler_sections(sizes: dict, profile: bool = False):
+def scheduler_sections(sizes: dict, best_of=None, profile: bool = False):
     """``(trace_simulation's run, sections)``: the six sections that serve a trace through
-    the scheduler, in payload order.  Every leaf of them that is not wall-clock is a count
-    or a simulated value; tier-1 pins those leaves at ``--fast`` size."""
-    trace_sim, trace_section = bench_trace_simulation(sizes["trace"], profile=profile)
-    return trace_sim, {
+    the scheduler, in payload order.  Each spec is served once, or, in a section that
+    ``best_of`` names, best of that many timed runs (``main`` passes :data:`BEST_OF`).
+    Every leaf of them that is not wall-clock is a count or a simulated value; tier-1
+    pins those leaves at ``--fast`` size."""
+    table, repeats = run_table(sizes), best_of or {}
+    trace, trace_section = bench_trace_simulation(
+        table["trace_simulation"], repeats.get("trace_simulation", 1), profile
+    )
+    return trace, {
         "trace_simulation": trace_section,
-        "mixed_phase": bench_mixed_phase(sizes["mixed"]),
-        "preemption_ab": bench_preemption_ab(sizes["ab"]),
-        "scheduling_ab": bench_scheduling_ab(sizes["ab"]),
-        "cluster_ab": bench_cluster_ab(sizes["cluster"]),
-        "prefix_cache": bench_prefix_cache(*sizes["prefix"]),
+        "mixed_phase": bench_mixed_phase(table["mixed_phase"], repeats.get("mixed_phase", 1)),
+        "preemption_ab": bench_preemption_ab(table["preemption_ab"]),
+        "scheduling_ab": bench_scheduling_ab(table["scheduling_ab"]),
+        "cluster_ab": bench_cluster_ab(table["cluster_ab"]),
+        "prefix_cache": bench_prefix_cache(*sizes["prefix"], repeats.get("prefix_cache", 1)),
     }
 
 
@@ -1103,21 +1017,22 @@ def main(argv=None) -> None:
     mode = "fast" if args.fast else "full"
     sizes = SECTION_SIZES[mode]
 
-    _warm_up()
-    trace_sim, sections = scheduler_sections(sizes, profile=args.profile)
+    table = run_table(sizes)
+    _warm_up(table["trace_simulation"])
+    trace, sections = scheduler_sections(sizes, BEST_OF, profile=args.profile)
     payload = {
         "benchmark": "bench_scheduler",
         "mode": mode,
         **sections,
-        "scale": bench_scale(),
+        "scale": bench_scale(table["scale"]),
         "sweep": bench_sweep(sizes["sweep"], fast_mode=args.fast),
         "sweep_grid": bench_sweep_grid(sizes["grid"]),
-        "tracing": bench_tracing(sizes["trace"], fast_mode=args.fast),
+        "tracing": bench_tracing(table["trace_simulation"], fast_mode=args.fast),
         "tensor_parallel_llama2_70b": bench_tensor_parallel(),
     }
     validate_payload(payload)
     if args.dump_requests:
-        dump_requests_csv(trace_sim, args.dump_requests)
+        dump_requests_csv(trace, args.dump_requests)
         print(f"wrote per-request metrics to {os.path.abspath(args.dump_requests)}")
     path = os.path.abspath(FAST_RESULT_PATH if args.fast else RESULT_PATH)
     with open(path, "w", encoding="utf-8") as fh:

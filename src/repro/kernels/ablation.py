@@ -11,8 +11,9 @@ The paper's ablation enables the two techniques one at a time:
 * **ImFP** — LQQ plus the implicit fine-grained pipeline (the shipping LiquidGEMM).
 
 ExCP and ImFP share memory layout and dequantization logic, exactly as in the paper; they
-differ only in the pipeline organisation, which here means the pipeline simulator kind and the
-closed-form combination rule.
+differ only in the pipeline organisation, which here means the pipeline simulator kind (the
+closed-form combination rule follows from it).  Every variant keeps LiquidGEMM's cost
+parameters under its own name and pipeline; only the baseline also swaps in QServe's alpha.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict
 
-from ..costmodel.model import KernelCostParams, PipelineMode
-from ..dequant.lqq import lqq_alpha
+from ..costmodel.model import KernelCostParams
 from ..dequant.qserve import qserve_alpha
 from ..gpu.specs import GpuSpec
 from ..pipeline.simulator import PipelineKind
@@ -43,13 +43,7 @@ class AblationBaselineKernel(LiquidGemmKernel):
     pipeline_kind = PipelineKind.SERIAL
 
     def cost_params(self, gpu: GpuSpec) -> KernelCostParams:
-        params = super().cost_params(gpu)
-        return dataclasses.replace(
-            params,
-            name=self.name,
-            alpha=qserve_alpha(),
-            pipeline=PipelineMode.SERIAL_DEQUANT,
-        )
+        return dataclasses.replace(super().cost_params(gpu), alpha=qserve_alpha())
 
 
 class AblationLqqKernel(LiquidGemmKernel):
@@ -58,28 +52,12 @@ class AblationLqqKernel(LiquidGemmKernel):
     name = "ablation-lqq"
     pipeline_kind = PipelineKind.SERIAL
 
-    def cost_params(self, gpu: GpuSpec) -> KernelCostParams:
-        params = super().cost_params(gpu)
-        return dataclasses.replace(
-            params,
-            name=self.name,
-            alpha=lqq_alpha(),
-            pipeline=PipelineMode.SERIAL_DEQUANT,
-        )
-
 
 class AblationExcpKernel(LiquidGemmKernel):
     """LQQ + explicit coarse-grained pipeline (three specialized warp groups)."""
 
     name = "ablation-excp"
     pipeline_kind = PipelineKind.EXCP
-
-    def cost_params(self, gpu: GpuSpec) -> KernelCostParams:
-        params = super().cost_params(gpu)
-        # The closed-form model has no notion of the SMEM round trip / sync bubbles, so the
-        # ExCP variant should be evaluated with use_pipeline_sim=True (the Figure 13 bench
-        # does); for the closed-form path we keep full overlap as an optimistic bound.
-        return dataclasses.replace(params, name=self.name, pipeline=PipelineMode.FULL_OVERLAP)
 
 
 class AblationImfpKernel(LiquidGemmKernel):

@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..costmodel.model import CostBreakdown, GemmShape, KernelCostParams, gemm_cost
+from ..costmodel.model import CostBreakdown, GemmShape, KernelCostParams, PipelineMode, gemm_cost
 from ..gpu.specs import GpuSpec, Precision, get_gpu
 from ..pipeline.simulator import PipelineKind, PipelineResult, simulate_pipeline
 from ..pipeline.timing import decompose_work, derive_iteration_timing
@@ -39,6 +39,15 @@ _MAX_INT8_PRODUCT = 127 * 128
 #: Widest K block float32 accumulates exactly: 1,032 columns, whose partial sums are
 #: integers of magnitude at most ``1032 * 127 * 128 < 2**24``.
 K_BLOCK = 2**24 // _MAX_INT8_PRODUCT
+#: The closed-form combination rule of each pipeline simulator kind: a serial main loop
+#: adds dequantization to the MMAs, while ExCP and ImFP overlap load, dequant and MMA.
+#: The closed form has no notion of ExCP's shared-memory round trip and synchronization
+#: bubbles, so for ExCP it is an optimistic bound (Figure 13 runs the simulator).
+_PIPELINE_MODES = {
+    PipelineKind.SERIAL: PipelineMode.SERIAL_DEQUANT,
+    PipelineKind.EXCP: PipelineMode.FULL_OVERLAP,
+    PipelineKind.IMFP: PipelineMode.FULL_OVERLAP,
+}
 
 
 def int8_gemm(x: np.ndarray, w_i8: np.ndarray, scale_ch: np.ndarray) -> np.ndarray:
@@ -122,6 +131,13 @@ class GemmKernel(abc.ABC):
     @abc.abstractmethod
     def cost_params(self, gpu: GpuSpec) -> KernelCostParams:
         """Cost-model parameters of this kernel on ``gpu``."""
+
+    def _params(self, **fields) -> KernelCostParams:
+        """:class:`KernelCostParams` named after this kernel, in the pipeline mode its
+        ``pipeline_kind`` implies: each kernel declares its pipeline once."""
+        return KernelCostParams(
+            name=self.name, pipeline=_PIPELINE_MODES[self.pipeline_kind], **fields
+        )
 
     # ------------------------------------------------------------------ offline
     @abc.abstractmethod

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..costmodel.model import KernelCostParams, PipelineMode
+from ..costmodel.model import KernelCostParams
 from ..dequant.qserve import qserve_alpha
 from ..dequant.w4a16 import w4a16_alpha
 from ..gpu.specs import GpuSpec, Precision
@@ -47,13 +47,11 @@ class Fp16Kernel(GemmKernel):
     pipeline_kind = PipelineKind.SERIAL
 
     def cost_params(self, gpu: GpuSpec) -> KernelCostParams:
-        return KernelCostParams(
-            name=self.name,
+        return self._params(
             weight_precision=Precision.FP16,
             act_precision=Precision.FP16,
             mma_precision=Precision.FP16,
             alpha=0.0,
-            pipeline=PipelineMode.FULL_OVERLAP,
             tile_m=256,
             tile_n=128,
             tile_k=64,
@@ -83,13 +81,11 @@ class W8A8Kernel(GemmKernel):
     pipeline_kind = PipelineKind.SERIAL
 
     def cost_params(self, gpu: GpuSpec) -> KernelCostParams:
-        return KernelCostParams(
-            name=self.name,
+        return self._params(
             weight_precision=Precision.INT8,
             act_precision=Precision.INT8,
             mma_precision=Precision.INT8,
             alpha=0.0,
-            pipeline=PipelineMode.FULL_OVERLAP,
             tile_m=256,
             tile_n=128,
             tile_k=64,
@@ -119,13 +115,11 @@ class Fp8Kernel(GemmKernel):
     pipeline_kind = PipelineKind.SERIAL
 
     def cost_params(self, gpu: GpuSpec) -> KernelCostParams:
-        return KernelCostParams(
-            name=self.name,
+        return self._params(
             weight_precision=Precision.FP8,
             act_precision=Precision.FP8,
             mma_precision=Precision.FP8,
             alpha=0.0,
-            pipeline=PipelineMode.FULL_OVERLAP,
             tile_m=256,
             tile_n=128,
             tile_k=64,
@@ -169,13 +163,11 @@ class W4A16Kernel(GemmKernel):
         self.group_size = group_size
 
     def cost_params(self, gpu: GpuSpec) -> KernelCostParams:
-        return KernelCostParams(
-            name=self.name,
+        return self._params(
             weight_precision=Precision.INT4,
             act_precision=Precision.FP16,
             mma_precision=Precision.FP16,
             alpha=w4a16_alpha(),
-            pipeline=PipelineMode.SERIAL_DEQUANT,
             tile_m=256,
             tile_n=128,
             tile_k=64,
@@ -229,13 +221,11 @@ class QServeW4A8Kernel(GemmKernel):
         self.config = QServeConfig(group_size=group_size)
 
     def cost_params(self, gpu: GpuSpec) -> KernelCostParams:
-        return KernelCostParams(
-            name=self.name,
+        return self._params(
             weight_precision=Precision.INT4,
             act_precision=Precision.INT8,
             mma_precision=Precision.INT8,
             alpha=qserve_alpha(),
-            pipeline=PipelineMode.SERIAL_DEQUANT,
             tile_m=128,
             tile_n=128,
             tile_k=64,

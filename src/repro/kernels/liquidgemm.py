@@ -27,7 +27,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..costmodel.model import KernelCostParams, PipelineMode
+from ..costmodel.model import KernelCostParams
 from ..dequant.lqq import lqq_alpha, lqq_dequant_registers, registers_to_int8
 from ..gpu.specs import GpuSpec, Precision
 from ..isa import InstructionStats
@@ -67,13 +67,11 @@ class LiquidGemmKernel(GemmKernel):
 
     # ------------------------------------------------------------------ cost model
     def cost_params(self, gpu: GpuSpec) -> KernelCostParams:
-        return KernelCostParams(
-            name=self.name,
+        return self._params(
             weight_precision=Precision.INT4,
             act_precision=Precision.INT8,
             mma_precision=Precision.INT8,
             alpha=lqq_alpha(),
-            pipeline=PipelineMode.FULL_OVERLAP,
             tile_m=256,
             tile_n=128,
             tile_k=64,

@@ -218,15 +218,6 @@ class PagedKvCache:
         """Would a new sequence of ``num_tokens`` fit right now?"""
         return self.config.blocks_for_tokens(num_tokens) <= self.num_free_blocks
 
-    def blocks_needed_to_extend(self, seq_id: int, num_tokens: int = 1) -> int:
-        """Additional blocks a resident sequence needs to grow by ``num_tokens`` tokens."""
-        state = self._sequences.get(seq_id)
-        if state is None:
-            raise KeyError(f"unknown sequence {seq_id}")
-        if num_tokens < 0:
-            raise ValueError("num_tokens must be non-negative")
-        return max(0, self.config.blocks_for_tokens(state.num_tokens + num_tokens) - state.num_blocks)
-
     # ------------------------------------------------------------------ block bookkeeping
     def _claim_blocks(self, count: int) -> List[int]:
         """Allocate ``count`` blocks at one reference each, taken from the top of the free
@@ -357,8 +348,7 @@ class PagedKvCache:
         seq_id = state.seq_id
         blocks = state.blocks
         block_tokens = self.config.block_tokens
-        # max(0, blocks_for_tokens(num_tokens + growth) - held): integer form of the
-        # public blocks_needed_to_extend, minus the per-call lookups.
+        # max(0, blocks_for_tokens(num_tokens + growth) - held), in integer form.
         needed = (state.num_tokens + num_tokens + block_tokens - 1) // block_tokens - len(blocks)
         if needed < 0:
             needed = 0

@@ -71,6 +71,12 @@ def _field_values(cls) -> operator.attrgetter:
     return operator.attrgetter(*(f.name for f in dataclasses.fields(cls)))
 
 
+def _blocks_to_grow(state: SequenceState, tokens: int, block_tokens: int) -> int:
+    """Blocks a resident sequence adds to grow by ``tokens`` tokens: the pool keeps every
+    sequence at exactly ``ceil(tokens / block_tokens)`` blocks."""
+    return (state.num_tokens + tokens + block_tokens - 1) // block_tokens - len(state.blocks)
+
+
 def _share(used: int, total: int) -> float:
     """``used / total``, 0.0 for an empty pool (as :meth:`PagedKvCache.utilization`)."""
     return used / total if total else 0.0
@@ -856,11 +862,13 @@ class ContinuousBatchingScheduler:
         # no candidate can land (every swapped sequence holds >= 1 block), so the sorted
         # scan is skipped outright.
         if self._swapped and kv.num_free_blocks > 0:
+            sequences, block_tokens = kv.sequences, kv.config.block_tokens
+
             def next_chunk_blocks(r: Request) -> int:
                 take = min(r.prefill_target - r.prefilled, self.prefill_chunk_tokens)
                 if take <= 0:
                     return 0
-                return kv.blocks_needed_to_extend(r.request_id, take)
+                return _blocks_to_grow(sequences[r.request_id], take, block_tokens)
 
             # Computed once, then updated incrementally as swap-ins land (the only
             # thing that changes the resident set inside this pass).
@@ -1032,10 +1040,7 @@ class ContinuousBatchingScheduler:
                 break
             take = min(request.prefill_target - request.prefilled, chunk_tokens, budget)
             state = sequences[request.request_id]
-            needed = (
-                (state.num_tokens + take + block_tokens - 1) // block_tokens
-                - len(state.blocks)
-            )
+            needed = _blocks_to_grow(state, take, block_tokens)
             if needed > free:
                 starved.append((needed, free))
                 continue
@@ -1174,7 +1179,7 @@ class ContinuousBatchingScheduler:
           one slot block per running sequence plus ``t // block_tokens`` per resident
           prefill, where ``t`` is the chunk the epoch schedules for it (``takes``), or
           ``min(remaining, prefill_chunk_tokens)`` for one it does not schedule.  The
-          scan reserves ``blocks_needed_to_extend(r, t')`` with ``t' = min(remaining,
+          scan reserves ``_blocks_to_grow`` of ``t'`` tokens with ``t' = min(remaining,
           prefill_chunk_tokens)``.  The pool keeps every sequence at exactly
           ``ceil(tokens / block_tokens)`` blocks, so growing by ``t'`` tokens needs at
           least ``t' // block_tokens`` new ones.  An unscheduled prefill's ``t'`` is

@@ -27,6 +27,12 @@ def bench():
 
 
 @pytest.fixture(scope="module")
+def runs(bench):
+    """The harness's run table at each mode's size: what each section serves."""
+    return {mode: bench.run_table(sizes) for mode, sizes in bench.SECTION_SIZES.items()}
+
+
+@pytest.fixture(scope="module")
 def payload():
     with open(_BENCH_JSON, encoding="utf-8") as fh:
         return json.load(fh)
@@ -69,16 +75,20 @@ class TestBenchSchema:
         assert disagg["kv_handoff_s"] > 0.0
         assert payload["cluster_ab"]["configs"]["colocated"]["kv_handoffs"] == 0
 
-    def test_scale_sections_run_the_advertised_workloads(self, bench, payload):
+    def test_scale_sections_run_the_advertised_workloads(self, runs, payload):
         """The fast-forward stress sections must stay at full size (they are identical in
         fast and full mode — analytic fast-forward is what makes them tractable) and must
         actually drain their traces."""
-        scale = payload["scale"]
-        assert scale["trace"]["workload"]["num_requests"] == bench.SCALE_TRACE_REQUESTS
-        assert scale["trace"]["simulated"]["completed_requests"] == bench.SCALE_TRACE_REQUESTS
-        assert scale["cluster"]["workload"]["num_replicas"] == bench.SCALE_CLUSTER_REPLICAS
-        assert scale["cluster"]["workload"]["num_requests"] == bench.SCALE_CLUSTER_REQUESTS
-        assert scale["cluster"]["summary"]["completed_requests"] == bench.SCALE_CLUSTER_REQUESTS
+        scale, specs = payload["scale"], runs["full"]["scale"]
+        assert runs["fast"]["scale"] == specs
+        trace_requests = specs["trace"].workload.num_requests
+        cluster_requests = specs["cluster"].workload.num_requests
+        assert scale["trace"]["workload"]["num_requests"] == trace_requests
+        assert scale["trace"]["simulated"]["completed_requests"] == trace_requests
+        assert (scale["cluster"]["workload"]["num_replicas"]
+                == specs["cluster"].cluster.num_replicas)
+        assert scale["cluster"]["workload"]["num_requests"] == cluster_requests
+        assert scale["cluster"]["summary"]["completed_requests"] == cluster_requests
         for section in (scale["trace"], scale["cluster"]):
             assert section["harness"]["wall_time_s"] > 0.0
             assert section["harness"]["iterations_per_s"] > 0.0
@@ -218,12 +228,12 @@ class TestBenchSchema:
 
 
 class TestMixedPhaseCoverageCount:
-    def test_fast_mixed_phase_step_calls(self, bench, monkeypatch):
+    def test_fast_mixed_phase_step_calls(self, runs, monkeypatch):
         """The ``step()`` calls fast-forward leaves on the ``--fast`` mixed_phase workload
         (150 requests): every other iteration runs inside a closed-form epoch.  The count
         was 705 before swapped sequences were parked against the prefill-chunk headroom
         ``step()``'s swap-in scan reserves."""
-        from repro.core import simulate_serving
+        from repro.core import run
         from repro.serving import ContinuousBatchingScheduler
 
         calls = []
@@ -234,12 +244,12 @@ class TestMixedPhaseCoverageCount:
             return step(self)
 
         monkeypatch.setattr(ContinuousBatchingScheduler, "step", counted_step)
-        sim = simulate_serving("liquidserve", "llama2-7b", **bench.mixed_phase_kwargs(150))
-        assert sim.stats.num_iterations == 12_985
+        result = run(runs["fast"]["mixed_phase"]["fast"])
+        assert result.replica_stats[0].num_iterations == 12_985
         assert len(calls) == 500
         assert len(calls) < 705
 
-    def test_fast_mixed_phase_pricing_calls(self, bench, monkeypatch):
+    def test_fast_mixed_phase_pricing_calls(self, runs, monkeypatch):
         """Cost evaluations per iteration, counted on the same trace: ``step()`` prices its
         forward pass with at most one engine call, and a fast-forward epoch prices all of
         its iterations with exactly one, so a skipped iteration costs no engine call.
@@ -248,7 +258,7 @@ class TestMixedPhaseCoverageCount:
         ``iteration_time`` calls, 1,574 of them one per iteration of a short epoch."""
         from collections import Counter
 
-        from repro.core import simulate_serving
+        from repro.core import run
         from repro.serving import ContinuousBatchingScheduler, ServingEngine
         from repro.telemetry import Tracer
 
@@ -267,12 +277,11 @@ class TestMixedPhaseCoverageCount:
         for name in ("iteration_time", "mixed_step_time", "price_epoch", "recompute_time"):
             count(ServingEngine, name)
         tracer = Tracer()
-        sim = simulate_serving(
-            "liquidserve", "llama2-7b", tracer=tracer, **bench.mixed_phase_kwargs(150)
-        )
+        result = run(runs["fast"]["mixed_phase"]["fast"], tracer=tracer)
         epochs = list(tracer.events_of("ff_decode", "ff_mixed"))
         skipped = sum(epoch.args["iterations"] for epoch in epochs)
-        assert sim.stats.num_iterations == 12_985 == calls["mixed_step_time"] + skipped
+        iterations = result.replica_stats[0].num_iterations
+        assert iterations == 12_985 == calls["mixed_step_time"] + skipped
         assert calls["mixed_step_time"] <= calls["step"]
         assert calls["price_epoch"] == len(epochs) < skipped
         assert calls["iteration_time"] == calls["mixed_step_time"] + calls["recompute_time"]
@@ -298,7 +307,11 @@ class TestKvCallCounts:
     admission (every admission here is a cache miss, which ``add_sequence`` admits).
     The KV peaks are kept in used blocks and divided once in ``stats()``, with no
     ``utilization`` or ``host_utilization`` call.  With a probing chunk walk and peaks
-    sampled through both calls, these runs made 8,064 and 13,139 calls."""
+    sampled through both calls, these runs made 8,064 and 13,139 calls.
+
+    ``step()``'s swap-in scan prices each resident prefill's next chunk with the
+    planner's integer block arithmetic; when it asked the pool instead, the mixed_phase
+    run made 568 more calls (9,089)."""
 
     @staticmethod
     def _count(monkeypatch):
@@ -338,13 +351,12 @@ class TestKvCallCounts:
         monkeypatch.setattr(ContinuousBatchingScheduler, "_reserve_decode_slots", observed)
         return calls, reservations
 
-    def test_trace_simulation_kv_calls(self, monkeypatch):
-        from repro.core import simulate_serving
+    def test_trace_simulation_kv_calls(self, runs, monkeypatch):
+        from repro.core import run
 
         calls, reservations = self._count(monkeypatch)
-        sim = simulate_serving("liquidserve", "llama2-7b", num_requests=500,
-                               arrival_rate_rps=20.0, seed=0)
-        assert sim.stats.num_iterations == 9_626
+        result = run(runs["full"]["trace_simulation"])
+        assert result.replica_stats[0].num_iterations == 9_626
         # The pool always covers the batch: one call per reservation at any batch size.
         assert all(covered for _, covered, _ in reservations)
         assert {kv_calls for batch, _, kv_calls in reservations if batch} == {1}
@@ -361,19 +373,18 @@ class TestKvCallCounts:
         assert sum(calls.values()) == 4_788
         assert calls["extend_sequence"] == calls["add_sequence"]
 
-    def test_fast_mixed_phase_kv_calls(self, bench, monkeypatch):
-        from repro.core import simulate_serving
+    def test_fast_mixed_phase_kv_calls(self, runs, monkeypatch):
+        from repro.core import run
 
         calls, reservations = self._count(monkeypatch)
-        sim = simulate_serving("liquidserve", "llama2-7b", **bench.mixed_phase_kwargs(150))
-        assert sim.stats.num_iterations == 12_985
+        result = run(runs["fast"]["mixed_phase"]["fast"])
+        assert result.replica_stats[0].num_iterations == 12_985
         covered = [kv_calls for batch, covered, kv_calls in reservations if batch and covered]
         exhausted = [kv_calls for _, covered, kv_calls in reservations if not covered]
         assert covered and set(covered) == {1}
         assert exhausted and min(exhausted) > 1  # the walked slots call one at a time
         assert dict(calls) == {
             "add_sequence": 150,
-            "blocks_needed_to_extend": 568,
             "can_admit": 901,
             "can_swap_out": 444,
             "extend_sequence": 150,
@@ -388,7 +399,7 @@ class TestKvCallCounts:
             "swapped_sequence": 2_052,
             "truncate_sequence": 222,
         }
-        assert sum(calls.values()) == 9_089
+        assert sum(calls.values()) == 8_521
         assert calls["extend_sequence"] == calls["add_sequence"]
 
 
@@ -474,8 +485,22 @@ class TestFastSchedulerGolden:
         with open(_GOLDEN_JSON, encoding="utf-8") as fh:
             return json.load(fh)
 
-    def test_no_leaf_moved(self, bench, golden):
+    def test_no_leaf_moved(self, bench, golden, monkeypatch):
+        """Each spec is served once: 14 runs (trace_simulation 1, mixed_phase 2,
+        preemption_ab 3, scheduling_ab 4, cluster_ab 2, prefix_cache 2), each building
+        its own engine.  Timed best of several, as ``main`` runs them, they were 26."""
+        from repro.serving import ServingEngine
+
+        engines = []
+        build = ServingEngine.__init__
+
+        def counted(self, *args, **kwargs):
+            engines.append(None)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(ServingEngine, "__init__", counted)
         _, sections = bench.scheduler_sections(bench.SECTION_SIZES["fast"])
+        assert len(engines) == 14
         assert list(sections) == list(golden)
         _assert_no_leaf_moved(bench, golden, bench.without_wall_clock(sections))
 
@@ -489,3 +514,18 @@ class TestFastSchedulerGolden:
         assert "1 counts or simulated values moved" in str(failure.value)
         assert (f"$.mixed_phase.simulated.iterations: {iterations} -> {iterations + 1}"
                 in str(failure.value))
+
+
+class TestLiveAcceptanceFlags:
+    def test_ab_flags_hold_at_full_size(self, bench, runs):
+        """The four A/B acceptance flags, recomputed at full size from the harness's own
+        declarations, not only read from the committed file: the cost-based hybrid never
+        loses goodput to recompute-only, SJF cuts p99 TTFT vs. FCFS, disaggregated
+        prefill/decode cuts p99 TTFT vs. co-located, and the prefix cache cuts p99 TTFT
+        by at least 1.5x."""
+        specs = runs["full"]
+        assert bench.bench_preemption_ab(specs["preemption_ab"])["hybrid_goodput_ge_recompute"]
+        assert bench.bench_scheduling_ab(specs["scheduling_ab"])["sjf_p99_ttft_improves"]
+        assert bench.bench_cluster_ab(specs["cluster_ab"])["disagg_p99_ttft_improves"]
+        prefix = bench.bench_prefix_cache(*bench.SECTION_SIZES["full"]["prefix"])
+        assert prefix["p99_ttft_improves_ge_1_5x"]

@@ -15,6 +15,7 @@ from repro.serving import (
     SequenceState,
     get_model,
 )
+from repro.serving.scheduler import _blocks_to_grow
 from test_prefix_cache import reference_chain
 
 
@@ -133,17 +134,6 @@ class TestPagedKvCache:
             cache.extend_sequence(1, 64)  # needs more than the 1 free block
         assert cache.num_free_blocks == free_before
         assert cache.sequence(1).num_tokens == (cfg.total_blocks - 1) * 16
-
-    def test_blocks_needed_to_extend(self):
-        cache = PagedKvCache(make_config(block_tokens=16))
-        cache.add_sequence(1, 16)
-        assert cache.blocks_needed_to_extend(1, 0) == 0
-        assert cache.blocks_needed_to_extend(1, 1) == 1
-        assert cache.blocks_needed_to_extend(1, 32) == 2
-        with pytest.raises(KeyError):
-            cache.blocks_needed_to_extend(42)
-        with pytest.raises(ValueError):
-            cache.blocks_needed_to_extend(1, -1)
 
     def test_tp_shard_shrinks_bytes_per_token(self):
         full = make_config(model="llama2-70b")
@@ -303,7 +293,8 @@ class TestHostSwap:
             if op == "add" and not resident and not swapped and cache.can_admit(tokens):
                 call = ("add_sequence", seq_id, tokens)
             elif op == "grow" and resident and (
-                cache.blocks_needed_to_extend(seq_id, tokens) <= cache.num_free_blocks
+                _blocks_to_grow(cache.sequence(seq_id), tokens, cache.config.block_tokens)
+                <= cache.num_free_blocks
             ):
                 call = ("extend_sequence", seq_id, tokens)
             elif op == "out" and cache.can_swap_out(seq_id):
@@ -495,7 +486,9 @@ class KvCacheMachine(RuleBasedStateMachine):
     def extend(self, data, chunk):
         """Chunked-prefill growth: extend by a whole chunk, all-or-nothing."""
         seq_id = data.draw(st.sampled_from(sorted(self.model_tokens)))
-        needed = self.cache.blocks_needed_to_extend(seq_id, chunk)
+        tokens = self.model_tokens[seq_id]
+        needed = (self.config.blocks_for_tokens(tokens + chunk)
+                  - self.config.blocks_for_tokens(tokens))
         try:
             self.cache.extend_sequence(seq_id, chunk)
         except KvCacheOutOfMemory:
@@ -697,16 +690,15 @@ class KvForkSwapMachine(RuleBasedStateMachine):
 
     @invariant()
     def growth_needs_at_least_its_whole_blocks(self):
-        """``blocks_needed_to_extend(s, t) >= t // block_tokens``: the per-prefill floor
-        the scheduler's fast-forward charges against a swap-in (it holds because every
-        sequence keeps exactly ``ceil(tokens / block_tokens)`` blocks)."""
+        """The scheduler's chunk block need of ``t`` tokens is at least ``t //
+        block_tokens``: the per-prefill floor its fast-forward charges against a swap-in
+        (it holds because every sequence keeps exactly ``ceil(tokens / block_tokens)``
+        blocks)."""
         block_tokens = self.config.block_tokens
         for seq_id in self.resident:
+            state = self.cache.sequence(seq_id)
             for tokens in (1, block_tokens - 1, block_tokens, 3 * block_tokens + 1):
-                assert (
-                    self.cache.blocks_needed_to_extend(seq_id, tokens)
-                    >= tokens // block_tokens
-                )
+                assert _blocks_to_grow(state, tokens, block_tokens) >= tokens // block_tokens
 
 
 TestKvForkSwapStateMachine = KvForkSwapMachine.TestCase
