@@ -9,8 +9,9 @@ serving metrics (did a change silently alter the model?):
   continuous-batching scheduler on Llama2-7B/H800 with the default FCFS + recompute policies;
 * ``mixed_phase`` — the fast-forward acceptance workload PR 4's decode-only jumps could not
   touch: a KV-constrained, prefill-heavy trace (long prompts, hybrid preemption, starved
-  chunks and parked swapped sequences) measured with fast-forward on *and* off;
-  ``speedup_ge_3x`` asserts the mixed-phase jump machinery clears 3x the interpretive path;
+  chunks and parked swapped sequences) measured with fast-forward on *and* off, the two
+  timed interleaved like ``tracing``'s; ``speedup_ge_3x`` asserts the mixed-phase jump
+  machinery clears 3x the interpretive path;
 * ``preemption_ab`` — the same KV-constrained ShareGPT trace (same seed) served under the
   recompute-only, swap-whenever-possible and cost-based hybrid preemption policies, recording
   goodput, preemption mix and KV transfer time; the acceptance flag
@@ -117,10 +118,10 @@ SWEEP_RESULT_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_sw
 SWEEP_FAST_RESULT_PATH = os.path.join(
     os.path.dirname(__file__), os.pardir, "BENCH_sweep.fast.json"
 )
-#: Seconds of work each side of the tracing section's interleaved overhead measurement
-#: runs for: its rounds, each one baseline run and one tracer-off run of the
-#: ``trace_simulation`` workload, go on until both sides have run this long.
-TRACING_SECONDS_PER_SIDE = 1.0
+#: Seconds of work each side of an interleaved measurement (:func:`interleaved`) runs
+#: for: the ``tracing`` section's baseline and tracer-off runs, and ``mixed_phase``'s
+#: fast-forward and stepwise runs.
+INTERLEAVED_SECONDS_PER_SIDE = 1.0
 #: The tracing section's Chrome/Perfetto timeline of the traced run (a CI artifact, so a
 #: failed run's schedule can be inspected visually; fast mode writes the ``.fast`` twin).
 TRACE_RESULT_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_trace.json")
@@ -135,10 +136,10 @@ AB_KV_BUDGET_BYTES = 2 * 2**30
 AB_HOST_KV_BUDGET_BYTES = 4 * 2**30
 AB_SLO = SloSpec(ttft_s=2.0, tpot_s=0.1)
 #: Timed runs per spec of the sections that report the best of several (the others time
-#: one run per spec).  The simulation is deterministic (identical results every run), so
-#: run-to-run wall variance is host noise and the minimum is the cleanest estimate of
-#: what the simulator costs.
-BEST_OF = {"trace_simulation": 5, "mixed_phase": 3, "prefix_cache": 3}
+#: one run per spec, and ``mixed_phase`` times its two arms interleaved).  The simulation
+#: is deterministic (identical results every run), so run-to-run wall variance is host
+#: noise and the minimum is the cleanest estimate of what the simulator costs.
+BEST_OF = {"trace_simulation": 5, "prefix_cache": 3}
 
 #: Prefix-cache A/B workload: an agent-swarm trace — every agent in a swarm prompts with
 #: the swarm's shared base context plus the shared transcript of all prior steps, so the
@@ -546,6 +547,28 @@ def timed(serve, repeats: int = 1):
     return result, wall
 
 
+def interleaved(runs: dict, seconds_per_side: float):
+    """``(results, best walls)`` of each named ``runs`` side, timed interleaved.
+
+    Rounds of one run per side, the order alternating from round to round, go on until
+    every side has run for ``seconds_per_side`` (at least one round).  Each run starts
+    from a collected heap, and the walls stay unrounded.  A ratio of two sides' best walls
+    then sees host speed drift and rounding on both sides instead of in the ratio.
+    """
+    order = list(runs)
+    results, walls = {}, dict.fromkeys(order, float("inf"))
+    spent = dict.fromkeys(order, 0.0)
+    rounds = 0
+    while rounds == 0 or min(spent.values()) < seconds_per_side:
+        for side in order if rounds % 2 == 0 else reversed(order):
+            gc.collect()  # each run starts from a heap without the last run's garbage
+            results[side], wall = timed(runs[side])
+            walls[side] = min(walls[side], wall)
+            spent[side] += wall
+        rounds += 1
+    return results, walls
+
+
 def _warm_up(spec: RunSpec) -> None:
     """One tiny throwaway run of ``spec``'s workload before any timed section.
 
@@ -573,14 +596,19 @@ def bench_trace_simulation(spec: RunSpec, repeats: int = 1, profile: bool = Fals
     }
 
 
-def bench_mixed_phase(specs: dict, repeats: int = 1) -> dict:
+def bench_mixed_phase(specs: dict, seconds_per_side: float = 0.0) -> dict:
     """The mixed-phase fast-forward acceptance section: fast vs. interpretive execution.
 
-    The simulated numbers are asserted identical between the two modes before anything
-    is reported — a wall-clock win that changed results would be a bug, not a speedup.
+    The two arms are timed :func:`interleaved` for ``seconds_per_side`` each (0: one run
+    each), and the flag compares their best walls unrounded.  The simulated numbers are
+    asserted identical between the two modes before anything is reported — a wall-clock
+    win that changed results would be a bug, not a speedup.
     """
-    fast, fast_wall = timed(lambda: run(specs["fast"]), repeats)
-    stepwise, stepwise_wall = timed(lambda: run(specs["stepwise"]), repeats)
+    results, walls = interleaved(
+        {arm: partial(run, specs[arm]) for arm in ("fast", "stepwise")}, seconds_per_side
+    )
+    fast, stepwise = results["fast"], results["stepwise"]
+    fast_wall, stepwise_wall = walls["fast"], walls["stepwise"]
     slo = specs["fast"].slo
     report = fast.slo_report(slo)
     iterations = fast.replica_stats[0].num_iterations
@@ -885,34 +913,19 @@ def bench_tracing(spec: RunSpec, fast_mode: bool) -> dict:
 
     ``off_vs_baseline_ratio`` isolates what the null-tracer hooks cost: the
     ``trace_simulation`` run (the baseline) and the same run with ``tracer=None``
-    passed explicitly are timed interleaved, in rounds of one run each (the order
-    alternating from round to round) until each side has run for
-    ``TRACING_SECONDS_PER_SIDE``, and the ratio divides the best baseline wall by the
-    best tracer-off wall, unrounded.  Timed that way, host speed drift and wall rounding
-    land on both sides instead of in the ratio, which ``check_perf_regression.py``
-    floors.  Then one tracer-on run asserts, live, the two contracts the telemetry
-    subsystem is built on: simulated results bit-identical to the untraced run, and
-    every request's phase breakdown tiling its end-to-end latency exactly.  The traced
-    timeline is written as a Chrome/Perfetto JSON artifact next to the payload.
+    passed explicitly are timed :func:`interleaved` for ``INTERLEAVED_SECONDS_PER_SIDE``
+    each, and the ratio divides the best baseline wall by the best tracer-off wall,
+    unrounded, which ``check_perf_regression.py`` floors.  Then one tracer-on run asserts,
+    live, the two contracts the telemetry subsystem is built on: simulated results
+    bit-identical to the untraced run, and every request's phase breakdown tiling its
+    end-to-end latency exactly.  The traced timeline is written as a Chrome/Perfetto JSON
+    artifact next to the payload.
     """
-    runs = {
-        "baseline": lambda: run(spec),
-        "off": lambda: run(spec, tracer=None),
-    }
-    walls = {side: float("inf") for side in runs}
-    spent = {side: 0.0 for side in runs}
-    off = None
-    rounds = 0
-    while min(spent.values()) < TRACING_SECONDS_PER_SIDE:
-        for side in ("baseline", "off") if rounds % 2 == 0 else ("off", "baseline"):
-            gc.collect()  # each run starts from a heap without the last run's garbage
-            result, wall = timed(runs[side])
-            walls[side] = min(walls[side], wall)
-            spent[side] += wall
-            if side == "off":
-                off = result
-        rounds += 1
-    off_wall = walls["off"]
+    results, walls = interleaved(
+        {"baseline": lambda: run(spec), "off": lambda: run(spec, tracer=None)},
+        INTERLEAVED_SECONDS_PER_SIDE,
+    )
+    off, off_wall = results["off"], walls["off"]
 
     tracer = Tracer(label="bench_trace_simulation")
     on, on_wall = timed(lambda: run(spec, tracer=tracer))
@@ -974,17 +987,20 @@ def bench_tensor_parallel() -> dict:
 
 def scheduler_sections(sizes: dict, best_of=None, profile: bool = False):
     """``(trace_simulation's run, sections)``: the six sections that serve a trace through
-    the scheduler, in payload order.  Each spec is served once, or, in a section that
-    ``best_of`` names, best of that many timed runs (``main`` passes :data:`BEST_OF`).
-    Every leaf of them that is not wall-clock is a count or a simulated value; tier-1
-    pins those leaves at ``--fast`` size."""
+    the scheduler, in payload order.  Each spec is served once unless ``best_of`` is given
+    (``main`` passes :data:`BEST_OF`): a section it names then reports the best of that
+    many timed runs, and ``mixed_phase`` times its arms :func:`interleaved` for
+    ``INTERLEAVED_SECONDS_PER_SIDE`` each.  Every leaf of them that is not wall-clock is
+    a count or a simulated value; tier-1 pins those leaves at ``--fast`` size."""
     table, repeats = run_table(sizes), best_of or {}
     trace, trace_section = bench_trace_simulation(
         table["trace_simulation"], repeats.get("trace_simulation", 1), profile
     )
     return trace, {
         "trace_simulation": trace_section,
-        "mixed_phase": bench_mixed_phase(table["mixed_phase"], repeats.get("mixed_phase", 1)),
+        "mixed_phase": bench_mixed_phase(
+            table["mixed_phase"], INTERLEAVED_SECONDS_PER_SIDE if best_of else 0.0
+        ),
         "preemption_ab": bench_preemption_ab(table["preemption_ab"]),
         "scheduling_ab": bench_scheduling_ab(table["scheduling_ab"]),
         "cluster_ab": bench_cluster_ab(table["cluster_ab"]),

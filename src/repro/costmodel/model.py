@@ -166,7 +166,7 @@ class GemmLine:
     """
 
     __slots__ = ("n", "k", "params", "t_load", "t_dequant", "_nk", "_phi_tc",
-                 "_phi_fp32", "_full_tile")
+                 "_phi_fp32", "_terms")
 
     def __init__(self, n: int, k: int, gpu: GpuSpec, params: KernelCostParams):
         if n <= 0 or k <= 0:
@@ -183,7 +183,14 @@ class GemmLine:
         self.t_dequant = (
             (params.alpha + params.load_overhead_alpha) * nk / gpu.cuda_core_int32_tops
         )
-        self._full_tile = self._per_m_tile(self._t_mma(params.tile_m))
+        # What :meth:`total` reads, in one tuple.  ``2 * m * N * K`` is an integer below
+        # 2**53, so the folded ``m * 2nk`` equals the helpers' ``m * 2.0 * nk`` bit for bit.
+        self._terms = (
+            params.tile_m, self._per_m_tile(self._t_mma(params.tile_m)),
+            self.t_load, self.t_dequant, 2.0 * nk, self._phi_tc,
+            params.pipeline == PipelineMode.FULL_OVERLAP,
+            params.epilogue_ops_per_output, n, self._phi_fp32, params.launch_overhead_s,
+        )
 
     def _t_mma(self, m: int) -> float:
         """Tensor-Core time of one M tile holding ``min(tile_m, m)`` rows."""
@@ -200,15 +207,22 @@ class GemmLine:
         return max(self.t_load, self.t_dequant + t_mma)  # SERIAL_DEQUANT
 
     def total(self, m: int) -> float:
-        """Latency of the ``m x N x K`` GEMM: M tiles, epilogue and launch (Equation 6)."""
-        params = self.params
-        if m >= params.tile_m:
-            main_loop = math.ceil(m / params.tile_m) * self._full_tile
+        """Latency of the ``m x N x K`` GEMM: M tiles, epilogue and launch (Equation 6).
+
+        ``ceil(m / tile_m) * full tile`` or one partial tile, plus :meth:`_t_epilogue` and
+        the launch: the helpers' terms, read from one resolved tuple."""
+        (tile_m, full_tile, t_load, t_dequant, two_nk, phi_tc, overlap, epilogue_ops, n,
+         phi_fp32, launch) = self._terms
+        if m >= tile_m:
+            main_loop = -(-m // tile_m) * full_tile
         elif m > 0:
-            main_loop = self._per_m_tile(self._t_mma(m))  # one partial M tile
+            t_mma = m * two_nk / phi_tc  # one partial M tile
+            main_loop = (
+                max(t_load, t_dequant, t_mma) if overlap else max(t_load, t_dequant + t_mma)
+            )
         else:
             raise ValueError("GEMM dimensions must be positive")
-        return main_loop + self._t_epilogue(m) + params.launch_overhead_s
+        return main_loop + epilogue_ops * m * n / phi_fp32 + launch
 
     def breakdown(self, m: int) -> CostBreakdown:
         """:meth:`total` split into its Equation-6 terms, with the limiting resource."""

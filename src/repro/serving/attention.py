@@ -84,12 +84,19 @@ def _check_efficiency(attention_efficiency: float) -> None:
 class AttentionLine:
     """Decode and chunked-prefill attention for one model shard on one GPU.
 
-    Everything that does not depend on the iteration is resolved once: the per-GPU KV dim
-    and head count, the head dim, the KV-cache bytes per element, the effective bandwidth
-    and the two Tensor-Core denominators (decode, and prefill at 0.6 of it).  Every term
-    is evaluated left to right in one fixed operand order (``2.0 * tokens * kv_dim *
-    kv_bytes / bw``), so an int64-array evaluation equals the scalar one element for
-    element, bit for bit.
+    Everything that does not depend on the iteration is resolved once: the effective
+    bandwidth, the two Tensor-Core denominators (decode, and prefill at 0.6 of it) and two
+    per-token constants, the K/V bytes ``2 * kv_dim * kv_bytes`` one token streams and
+    the ``8 * heads * head_dim`` Tensor-Core operations per attended key.  Every form
+    multiplies a token count by one of them and divides by its denominator.
+
+    The folding is exact.  KV bytes per element are ``bits / 8`` and the head dim is a
+    power of two, so each constant is a head count times a power of two, and ``x *
+    constant`` rounds exactly where the unfolded ``2.0 * x * kv_dim * kv_bytes`` (or
+    ``8.0 * x * heads * head_dim``) rounds: at the head-count factor, and only above
+    2**53.  No division becomes a multiply and no sum is reassociated, so every form
+    equals the left-to-right formulas bit for bit, and an int64-array evaluation equals
+    the scalar one element for element.
 
     ``attention_efficiency`` scales the *whole* kernel (bandwidth and compute alike) and is
     the knob that distinguishes the systems' attention implementations (e.g. TRT-FP8's
@@ -97,8 +104,8 @@ class AttentionLine:
     :mod:`repro.serving.systems` for the calibrated per-system values.
     """
 
-    __slots__ = ("kv_dim", "heads", "head_dim", "kv_bytes_per_element", "_effective_bw",
-                 "_decode_tc", "_chunk_tc")
+    __slots__ = ("kv_dim", "heads", "head_dim", "kv_bytes_per_element", "_kv_bytes_per_token",
+                 "_ops_per_key", "_effective_bw", "_decode_tc", "_chunk_tc")
 
     def __init__(
         self,
@@ -114,6 +121,8 @@ class AttentionLine:
         self.heads = model.heads_per_gpu(tp_degree)
         self.head_dim = model.head_dim
         self.kv_bytes_per_element = kv_bytes_per_element
+        self._kv_bytes_per_token = 2.0 * self.kv_dim * kv_bytes_per_element
+        self._ops_per_key = 8.0 * self.heads * self.head_dim
         self._effective_bw = gpu.memory_bandwidth * bandwidth_efficiency * attention_efficiency
         peak = gpu.tensor_core_throughput(_tensor_precision(gpu))
         self._decode_tc = peak * attention_efficiency
@@ -123,17 +132,17 @@ class AttentionLine:
     def _kv_time(self, tokens):
         """Streaming ``2 x tokens x kv_dim`` K/V elements: a read of cached context or the
         write of new entries."""
-        return 2.0 * tokens * self.kv_dim * self.kv_bytes_per_element / self._effective_bw
+        return tokens * self._kv_bytes_per_token / self._effective_bw
 
     def _decode_compute(self, total_context):
         """``q·K^T`` and ``p·V``: 2 * context * heads * head_dim MACs each per sequence."""
-        return 8.0 * total_context * self.heads * self.head_dim / self._decode_tc
+        return total_context * self._ops_per_key / self._decode_tc
 
     def _chunk_compute(self, chunk_tokens: int, context_start):
         """The chunk's causal attention: each query position q attends over
         ``context_start + (its offset + 1)`` keys."""
         attended = chunk_tokens * context_start + chunk_tokens * (chunk_tokens + 1) / 2.0
-        return 8.0 * attended * self.heads * self.head_dim / self._chunk_tc
+        return attended * self._ops_per_key / self._chunk_tc
 
     def decode(self, batch_size: int, total_context):
         """Total decode attention of ``batch_size`` sequences over ``total_context``.
@@ -141,10 +150,10 @@ class AttentionLine:
         :meth:`decode_cost`'s terms written out and summed in its order (a KV read of the
         context, the KV write of one token per sequence, the Tensor-Core work, the
         launch), so the fast-forward loop prices an iteration in one call."""
+        kv_bytes, bw = self._kv_bytes_per_token, self._effective_bw
         return (
-            2.0 * total_context * self.kv_dim * self.kv_bytes_per_element / self._effective_bw
-            + 2.0 * batch_size * self.kv_dim * self.kv_bytes_per_element / self._effective_bw
-            + 8.0 * total_context * self.heads * self.head_dim / self._decode_tc
+            total_context * kv_bytes / bw + batch_size * kv_bytes / bw
+            + total_context * self._ops_per_key / self._decode_tc
             + _ATTENTION_LAUNCH_OVERHEAD_S
         )
 

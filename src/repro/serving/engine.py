@@ -38,6 +38,7 @@ group (the GPUs run in lockstep, so per-GPU step time is group step time).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -118,11 +119,12 @@ _HOST_TRANSFER_LATENCY_S = 15.0e-6
 _INTERCONNECT_TRANSFER_LATENCY_S = 10.0e-6
 #: Iteration count from which :meth:`ServingEngine.price_epoch` prices with one array
 #: evaluation instead of a scalar loop.  Measured on a 2-vCPU Xeon host: the loop costs
-#: about 0.48 us per iteration plus 0.53 us per chunk (one attention-line call per
-#: decode-only iteration), the array form about 17 us plus 11 us per chunk, and 0.02 us
-#: per iteration.  Priced that way, the epochs of one pass of each perfbench serving
-#: workload cost least at 36 to 40, and within 1% of that anywhere from 32 to 44.
-_EPOCH_ARRAY_ITERATIONS = 40
+#: about 0.38 us per iteration plus 0.45 us per chunk (one attention-line call for the
+#: decode batch and one per chunk), the array form about 11.2 us plus 8.7 us per chunk
+#: and 0.013 us per iteration, and up to 1 us more under a horizon (the first
+#: iteration's price).  Priced that way, the epochs of two passes of each perfbench
+#: serving workload cost least at 28 to 32, and within 1% of that anywhere from 28 to 36.
+_EPOCH_ARRAY_ITERATIONS = 32
 
 
 @dataclass
@@ -489,11 +491,9 @@ class ServingEngine:
             total_tokens += tokens
         if total_tokens <= 0:
             raise ValueError("an iteration must process at least one token")
-        time, = self._iteration_times(
-            self._step_coeffs(total_tokens, logits_tokens), decode_batch, decode_total, chunks,
-            (0,),
+        return self._compose(
+            self._step_coeffs(total_tokens, logits_tokens), decode_batch, decode_total, chunks
         )
-        return time
 
     def _step_coeffs(
         self, total_tokens: int, logits_tokens: int
@@ -512,27 +512,17 @@ class ServingEngine:
             self._step_coeff_cache[key] = coeffs
         return coeffs
 
-    def _iteration_times(self, coeffs, decode_batch, decode_total, chunks, steps):
-        """Yield the time of each iteration ``step`` (0-based) in ``steps`` of a pinned run
-        whose first iteration is ``(decode_total, chunks)``: each step adds one token per
-        decoding sequence and one chunk to each chunk's cached prefix.  A step that is an
-        int64 array prices many iterations, elementwise.
-
-        The one composition of an iteration's cost from its context-independent terms
-        (``coeffs``) and the attention line.  A caller iterating over many scalar steps
-        pays one attention-line call per decode-only iteration and no other call."""
+    def _compose(self, coeffs, decode_batch, decode_total, chunks):
+        """The time of the iteration ``(decode_total, chunks)`` from its context-independent
+        terms ``coeffs`` and the attention line: elementwise when the decode total or a
+        chunk's context start is an int64 array.  :meth:`price_epoch`'s scalar loop is
+        this composition with the step folded into its operands."""
         gemm, others, comm, lm_head = coeffs
         line = self._attention_line
-        decode, chunk = line.decode, line.chunk
-        layers = self.model.num_layers
-        for step in steps:
-            attention = (
-                decode(decode_batch, decode_total + step * decode_batch) if decode_batch
-                else 0.0
-            )
-            for tokens, start in chunks:
-                attention = attention + chunk(tokens, start + step * tokens)
-            yield (gemm + attention + others + comm) * layers + lm_head
+        attention = line.decode(decode_batch, decode_total) if decode_batch else 0.0
+        for tokens, start in chunks:
+            attention = attention + line.chunk(tokens, start)
+        return (gemm + attention + others + comm) * self.model.num_layers + lm_head
 
     def price_epoch(
         self,
@@ -555,14 +545,18 @@ class ServingEngine:
 
         Equal, bit for bit, to adding :meth:`iteration_time` of each iteration to
         ``clock`` in sequence.  The epoch's context-independent terms are resolved once.
-        The iterations the horizon can reach are priced by one array evaluation plus
-        ``np.cumsum`` (sequential additions in the same order) when there are at least
-        :data:`_EPOCH_ARRAY_ITERATIONS` of them, and by a scalar loop otherwise.
+        The iterations the horizon can reach are priced by one array evaluation whose
+        first element is seeded with the clock, then an in-place ``np.cumsum`` (the same
+        sequential additions), when there are at least :data:`_EPOCH_ARRAY_ITERATIONS`
+        of them, and by a scalar loop otherwise.
         """
         total_tokens = decode_batch
         for tokens, _ in chunks:
             total_tokens += tokens
         coeffs = self._step_coeffs(total_tokens, decode_batch)
+        horizon = math.inf if stop_before is None else stop_before
+        if not clock < horizon:
+            return 0, clock
         done = 0
         if iterations >= _EPOCH_ARRAY_ITERATIONS:
             span = iterations
@@ -570,27 +564,39 @@ class ServingEngine:
                 # Contexts only grow inside an epoch, so no iteration is cheaper than the
                 # first and at most ``reach`` of them start before the horizon.  The array
                 # covers those plus slack for rounding; the loop below finishes any rest.
-                first, = self._iteration_times(coeffs, decode_batch, decode_total, chunks, (0,))
-                reach = (stop_before - clock) / first
+                reach = (stop_before - clock) / self._compose(
+                    coeffs, decode_batch, decode_total, chunks
+                )
                 if reach < iterations:
                     span = min(iterations, int(reach) + 2)
             if span >= _EPOCH_ARRAY_ITERATIONS:
-                times, = self._iteration_times(
-                    coeffs, decode_batch, decode_total, chunks, (np.arange(span, dtype=np.int64),)
+                ends = self._compose(
+                    coeffs, decode_batch,
+                    np.arange(decode_total, decode_total + span * decode_batch, decode_batch)
+                    if decode_batch else decode_total,
+                    [(tokens, np.arange(start, start + span * tokens, tokens))
+                     for tokens, start in chunks],
                 )
-                clocks = np.cumsum(np.concatenate(([clock], times)))
-                done = span
-                if stop_before is not None:
-                    done = int(np.searchsorted(clocks[:span], stop_before, side="left"))
-                clock = float(clocks[done])
-        if done < iterations and (stop_before is None or clock < stop_before):
+                ends[0] += clock
+                np.add.accumulate(ends, out=ends)  # an in-place np.cumsum
+                # Iteration 0 starts at ``clock``, iteration i + 1 where iteration i ends.
+                done = min(span, int(ends.searchsorted(horizon)) + 1)
+                clock = float(ends[done - 1])
+        if done < iterations and clock < horizon:
             # Each iteration is priced only once the clock shows it starts in time.
-            for time in self._iteration_times(
-                coeffs, decode_batch, decode_total, chunks, range(done, iterations)
-            ):
-                clock += time
+            gemm, others, comm, lm_head = coeffs
+            decode, chunk = self._attention_line.decode, self._attention_line.chunk
+            layers = self.model.num_layers
+            for step in range(done, iterations):
+                attention = (
+                    decode(decode_batch, decode_total + step * decode_batch) if decode_batch
+                    else 0.0
+                )
+                for tokens, start in chunks:
+                    attention = attention + chunk(tokens, start + step * tokens)
+                clock += (gemm + attention + others + comm) * layers + lm_head
                 done += 1
-                if stop_before is not None and not clock < stop_before:
+                if not clock < horizon:
                     break
         return done, clock
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["percentile", "RequestMetrics", "SloSpec", "SloReport", "request_metrics",
            "compute_slo_report"]
@@ -71,10 +71,21 @@ class SloSpec:
     tpot_s: float = 0.1
 
     def met_by(self, m: RequestMetrics) -> bool:
-        return m.ttft_s <= self.ttft_s and m.tpot_s <= self.tpot_s
+        return self._met(m.ttft_s, m.tpot_s)
+
+    def attained_by(self, requests: Iterable) -> int:
+        """How many completed ``requests`` meet both SLOs: :meth:`met_by` counted over
+        :func:`request_metrics` of them, from each one's TTFT and TPOT alone."""
+        return sum(1 for r in requests if _completed(r) and self._met(*_ttft_tpot(r)))
+
+    def _met(self, ttft_s: float, tpot_s: float) -> bool:
+        return ttft_s <= self.ttft_s and tpot_s <= self.tpot_s
 
 
-@dataclass(frozen=True)
+_DEFAULT_SLO = SloSpec()
+
+
+@dataclass(frozen=True, slots=True)
 class SloReport:
     """Population summary of one simulation run against an :class:`SloSpec`."""
 
@@ -111,20 +122,33 @@ class SloReport:
         return self.slo_attained / self.makespan_s if self.makespan_s > 0 else 0.0
 
 
+def _completed(r) -> bool:
+    return r.first_token_time_s is not None and r.completion_time_s is not None
+
+
+def _ttft_tpot(r) -> Tuple[float, float]:
+    """A completed request's TTFT and TPOT (0.0 for a single-token answer)."""
+    decode_tokens = max(0, r.output_tokens - 1)
+    decode_span = r.completion_time_s - r.first_token_time_s
+    return (
+        r.first_token_time_s - r.arrival_time_s,
+        decode_span / decode_tokens if decode_tokens else 0.0,
+    )
+
+
 def request_metrics(requests: Iterable) -> List[RequestMetrics]:
     """Extract metrics from completed requests (others are skipped)."""
     out: List[RequestMetrics] = []
     for r in requests:
-        if r.first_token_time_s is None or r.completion_time_s is None:
+        if not _completed(r):
             continue
-        decode_tokens = max(0, r.output_tokens - 1)
-        decode_span = r.completion_time_s - r.first_token_time_s
+        ttft_s, tpot_s = _ttft_tpot(r)
         first_scheduled = getattr(r, "first_scheduled_time_s", None)
         out.append(RequestMetrics(
             request_id=r.request_id,
-            ttft_s=r.first_token_time_s - r.arrival_time_s,
+            ttft_s=ttft_s,
             latency_s=r.completion_time_s - r.arrival_time_s,
-            tpot_s=decode_span / decode_tokens if decode_tokens else 0.0,
+            tpot_s=tpot_s,
             output_tokens=r.output_tokens,
             preemptions=getattr(r, "preemptions", 0),
             queue_time_s=(
@@ -137,7 +161,7 @@ def request_metrics(requests: Iterable) -> List[RequestMetrics]:
 def compute_slo_report(requests: Iterable, slo: Optional[SloSpec] = None,
                        makespan_s: float = 0.0) -> SloReport:
     """Summarize a completed request population against ``slo``."""
-    slo = slo or SloSpec()
+    slo = slo or _DEFAULT_SLO
     requests = list(requests)
     cached = [getattr(r, "cached_prefix_tokens", 0) for r in requests]
     metrics = request_metrics(requests)

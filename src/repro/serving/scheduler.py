@@ -174,7 +174,7 @@ class Request:
         self.imported_kv_tokens = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class SchedulerStats:
     """Aggregate statistics of one simulation run."""
 
@@ -223,6 +223,12 @@ class SchedulerStats:
     prefix_blocks_evicted: int = 0
     prefix_cached_blocks: int = 0
     requests: List[Request] = field(default_factory=list)
+    #: The report against the default :class:`SloSpec` that the scheduler's ``stats()``
+    #: summarized ``requests`` into for the fields above (None for stats built by hand).
+    #: Only a report's attainment depends on the SLO, so :meth:`slo_report` copies it.
+    _slo_summary: Optional[SloReport] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def throughput_tokens_per_s(self) -> float:
@@ -238,7 +244,12 @@ class SchedulerStats:
 
     def slo_report(self, slo: Optional[SloSpec] = None) -> SloReport:
         """SLO attainment / goodput of the completed requests of this run."""
-        return compute_slo_report(self.requests, slo, makespan_s=self.simulated_time_s)
+        summary = self._slo_summary
+        if summary is None:
+            return compute_slo_report(self.requests, slo, makespan_s=self.simulated_time_s)
+        slo = slo or summary.slo
+        attained = summary.slo_attained if slo == summary.slo else slo.attained_by(self.requests)
+        return dataclasses.replace(summary, slo=slo, slo_attained=attained)
 
 
 class ContinuousBatchingScheduler:
@@ -591,7 +602,7 @@ class ContinuousBatchingScheduler:
         summary = compute_slo_report(snapshot, makespan_s=makespan)
         cache = self.prefix_cache
         config = self.kv_cache.config
-        return SchedulerStats(
+        stats = SchedulerStats(
             simulated_time_s=makespan,
             completed_requests=len(snapshot),
             generated_tokens=self._generated_tokens,
@@ -624,6 +635,8 @@ class ContinuousBatchingScheduler:
             prefix_cached_blocks=cache.num_blocks if cache is not None else 0,
             requests=snapshot,
         )
+        stats._slo_summary = summary
+        return stats
 
     # ------------------------------------------------------------------ step internals
     def _admission_plan(self, request: Request, budget_left: int) -> Tuple[List[int], int]:

@@ -293,6 +293,19 @@ class TestMixedPhaseCoverageCount:
             "iteration_time": 718,
         }
 
+    def test_fast_mixed_phase_step_coeff_entries(self, runs):
+        """What the same run memoizes: one ``step_coeffs`` entry per distinct (total
+        tokens, logits tokens) shape its 718 ``iteration_time`` and 494 ``price_epoch``
+        calls priced.  A cheaper miss path must not change what is memoized."""
+        from repro.core import run
+
+        spec = runs["fast"]["mixed_phase"]["fast"]
+        engine = spec.build_engine()
+        run(spec, engine=engine)
+        assert engine.cache_stats() == {
+            "step_coeffs": {"entries": 258, "max_entries": 65536, "evictions": 0},
+        }
+
 
 class TestKvCallCounts:
     """Calls of every public :class:`PagedKvCache` method (nested ones included), counted

@@ -194,6 +194,30 @@ class TestGemmLine:
         for m in range(1, 2 * p.tile_m + 2):
             assert line.total(m) == _equation6(GemmShape(m, 4096, 4096), H800, p)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=2**18),
+        k=st.integers(min_value=1, max_value=2**16),
+        ms=st.lists(st.integers(min_value=1, max_value=2**20), min_size=1, max_size=12),
+    )
+    def test_total_reads_its_helpers_terms(self, n, k, ms):
+        """``total`` reads its terms, the folded ``2 * N * K`` among them, out of one
+        resolved tuple; for every kernel and GPU it equals the helpers' left-to-right
+        terms: ``ceil(m / tile_m)`` M tiles of ``_per_m_tile(_t_mma(m))`` (one partial
+        tile below ``tile_m``), plus ``_t_epilogue(m)`` and the launch."""
+        for gpu in list_gpus().values():
+            for name in available_kernels():
+                p = get_kernel(name).cost_params(gpu)
+                if not gpu.supports_precision(p.mma_precision):
+                    continue
+                line = GemmLine(n, k, gpu, p)
+                for m in [*ms, p.tile_m - 1, p.tile_m]:
+                    expected = (
+                        math.ceil(m / p.tile_m) * line._per_m_tile(line._t_mma(m))
+                        + line._t_epilogue(m) + p.launch_overhead_s
+                    )
+                    assert line.total(m) == expected
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GemmLine(0, 64, H800, params())

@@ -23,6 +23,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import simulate_cluster, simulate_serving
 from repro.serving import SYSTEMS, get_model, list_models
 from repro.serving.attention import (
+    _ATTENTION_LAUNCH_OVERHEAD_S,
+    AttentionCost,
     chunked_prefill_attention_cost,
     decode_attention_cost_from_totals,
 )
@@ -719,6 +721,65 @@ class TestPricingClosedForms:
             assert float(chunk_array[i]) == float(chunk_form[i]) == chunked_prefill_attention_cost(
                 engine.model, engine.gpu, chunk_tokens, int(starts[i]), **forms
             ).total
+
+
+class TestAttentionLineFolding:
+    """:class:`AttentionLine` multiplies token counts by two folded per-token constants
+    (``2 * kv_dim * kv_bytes`` and ``8 * heads * head_dim``).  Its decode and chunk forms,
+    and each term of their splits, must equal the left-to-right formulas written out,
+    bit for bit, on every system, model and TP sharding, for contexts up to 2**31, as
+    scalars and elementwise over int64 arrays."""
+
+    @pytest.fixture(scope="class")
+    def lines(self):
+        return [ServingEngine(system, model, tp_degree=tp)._attention_line
+                for system in sorted(SYSTEMS) for model, tp in _SHARDINGS]
+
+    @staticmethod
+    def _unfolded(line, batch, total, chunk_tokens, start):
+        """The decode and chunk terms in the operand order the forms were written in."""
+        kv_dim, kv_bytes, bw = line.kv_dim, line.kv_bytes_per_element, line._effective_bw
+        heads, head_dim = line.heads, line.head_dim
+        attended = chunk_tokens * start + chunk_tokens * (chunk_tokens + 1) / 2.0
+        decode = (2.0 * total * kv_dim * kv_bytes / bw, 2.0 * batch * kv_dim * kv_bytes / bw,
+                  8.0 * total * heads * head_dim / line._decode_tc)
+        chunk = (2.0 * start * kv_dim * kv_bytes / bw, 2.0 * chunk_tokens * kv_dim * kv_bytes / bw,
+                 8.0 * attended * heads * head_dim / line._chunk_tc)
+        return decode, chunk
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        batch=st.integers(min_value=1, max_value=4096),
+        total=st.integers(min_value=0, max_value=2**31),
+        chunk_tokens=st.integers(min_value=1, max_value=8192),
+        start=st.integers(min_value=0, max_value=2**31),
+        span=st.integers(min_value=1, max_value=6),
+    )
+    def test_folded_forms_equal_the_unfolded_formulas(
+        self, lines, batch, total, chunk_tokens, start, span
+    ):
+        launch = _ATTENTION_LAUNCH_OVERHEAD_S
+        steps = np.arange(span, dtype=np.int64)
+        totals, starts = total + steps * batch, start + steps * chunk_tokens
+        for line in lines:
+            (read, write, compute), (c_read, c_write, c_compute) = self._unfolded(
+                line, batch, total, chunk_tokens, start
+            )
+            assert line.decode(batch, total) == read + write + compute + launch
+            assert line.decode_cost(batch, total) == AttentionCost(read, write, compute, launch)
+            assert line.chunk(chunk_tokens, start) == c_read + c_write + c_compute + launch
+            assert line.chunk_cost(chunk_tokens, start) == AttentionCost(
+                c_read, c_write, c_compute, launch
+            )
+            (read, write, compute), (c_read, c_write, c_compute) = self._unfolded(
+                line, batch, totals, chunk_tokens, starts
+            )
+            decode, chunk = line.decode(batch, totals), line.chunk(chunk_tokens, starts)
+            assert np.array_equal(decode, read + write + compute + launch)
+            assert np.array_equal(chunk, c_read + c_write + c_compute + launch)
+            for i in range(span):
+                assert float(decode[i]) == line.decode(batch, int(totals[i]))
+                assert float(chunk[i]) == line.chunk(chunk_tokens, int(starts[i]))
 
 
 class TestOutstandingTokensCounter:

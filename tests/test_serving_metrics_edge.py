@@ -176,3 +176,47 @@ class TestQueueTime:
         [m] = request_metrics([Legacy()])
         assert m.queue_time_s == 0.0
         assert m.preemptions == 0
+
+
+_SLOS = [None, SloSpec(), SloSpec(ttft_s=2.0, tpot_s=0.1), SloSpec(ttft_s=0.5, tpot_s=0.02),
+         SloSpec(ttft_s=0.05, tpot_s=1.0), SloSpec(ttft_s=1e9, tpot_s=1e9)]
+
+
+class TestStatsReportsOnePopulation:
+    """A scheduler's ``stats()`` summarizes its completed requests once: every
+    ``slo_report`` of the snapshot reuses that summary and recounts only the attainment,
+    bit-identical to summarizing the requests again."""
+
+    @pytest.fixture(scope="class")
+    def stats(self):
+        from repro.core import simulate_serving
+
+        return simulate_serving(
+            "liquidserve", "llama2-7b", num_requests=80, arrival_rate_rps=40.0, seed=5
+        ).stats
+
+    @pytest.mark.parametrize("slo", _SLOS)
+    def test_report_equals_a_fresh_summary(self, stats, slo):
+        assert stats.slo_report(slo) == compute_slo_report(
+            stats.requests, slo, makespan_s=stats.simulated_time_s
+        )
+
+    def test_reports_build_no_request_metrics(self, stats, monkeypatch):
+        from repro.serving import metrics
+
+        built = []
+        monkeypatch.setattr(
+            metrics, "request_metrics", lambda rs: built.append(1) or request_metrics(rs)
+        )
+        for slo in _SLOS:
+            stats.slo_report(slo)
+        assert built == []
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_attained_by_counts_met_by_over_the_metrics(self, seed):
+        requests = TestSortOnceSloReport()._population(seed)
+        requests.append(Request(99, prompt_tokens=16, output_tokens=8,
+                                first_token_time_s=0.0, completion_time_s=None))
+        for slo in _SLOS[1:]:
+            expected = sum(1 for m in request_metrics(requests) if slo.met_by(m))
+            assert slo.attained_by(requests) == expected
